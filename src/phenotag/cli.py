@@ -6,6 +6,9 @@ score, analyze errors, aggregate runs, project embeddings, and run the
 gradient check. Every command is deterministic given its flags, writes its
 artifacts under --out, and echoes its resolved configuration next to them.
 
+A command imports only what it runs: the model commands import the encoder
+inside their function, so the other commands never load it or scipy.
+
 Flags can also come from a plain key=value file via --config; explicit flags
 win. The PHENOTAG_OUT_ROOT environment variable, when set, anchors relative
 output paths.
@@ -30,22 +33,6 @@ from .corpus import (
     split_corpus,
     token_labels,
 )
-from .encoder import (
-    FinetuneConfig,
-    MaskingConfig,
-    ModelConfig,
-    OptimizerConfig,
-    finetune_ner,
-    format_trace,
-    grad_check,
-    init_model,
-    load_checkpoint,
-    pretrain_mlm,
-    predict_corpus,
-    resize_for_vocab,
-    save_checkpoint,
-)
-from .encoder.checkpoint import export_embeddings
 from .errors import PhenotagError
 from .evaluation import (
     MatchReport,
@@ -209,7 +196,9 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def _model_config(args, vocab_size: int) -> ModelConfig:
+def _model_config(args, vocab_size: int):
+    from .encoder import ModelConfig
+
     return ModelConfig(
         vocab_size=vocab_size,
         n_layers=args.layers,
@@ -223,6 +212,16 @@ def _model_config(args, vocab_size: int) -> ModelConfig:
 
 
 def cmd_pretrain(args) -> int:
+    from .encoder import (
+        MaskingConfig,
+        OptimizerConfig,
+        format_trace,
+        init_model,
+        load_checkpoint,
+        pretrain_mlm,
+        save_checkpoint,
+    )
+
     vocab = _load_vocab_arg(args.vocab)
     corpus = load_corpus(args.corpus)
     if args.init_from:
@@ -257,6 +256,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_resize(args) -> int:
+    from .encoder import load_checkpoint, resize_for_vocab, save_checkpoint
+
     ckpt = load_checkpoint(args.ckpt)
     old_vocab = _load_vocab_arg(args.old_vocab)
     new_vocab = _load_vocab_arg(args.new_vocab)
@@ -272,6 +273,14 @@ def cmd_resize(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    from .encoder import (
+        FinetuneConfig,
+        finetune_ner,
+        format_trace,
+        load_checkpoint,
+        save_checkpoint,
+    )
+
     vocab = _load_vocab_arg(args.vocab)
     corpus = load_corpus(args.corpus)
     ckpt = load_checkpoint(args.ckpt)
@@ -287,16 +296,20 @@ def cmd_finetune(args) -> int:
     save_checkpoint(tuned, out)
     if args.trace:
         _out_path(args.trace).write_text(format_trace(records), encoding="utf-8")
-    last = records[-1]
-    print(
-        f"fine-tuned {args.epochs} epochs (loss {last.loss:.4f}, "
-        f"tag accuracy {last.accuracy:.3f}); checkpoint at {out}"
+    last = records[-1] if records else None
+    summary = (
+        f"loss {last.loss:.4f}, tag accuracy {last.accuracy:.3f}"
+        if last
+        else "no epochs run"
     )
+    print(f"fine-tuned {args.epochs} epochs ({summary}); checkpoint at {out}")
     _echo_config(args, out)
     return 0
 
 
 def cmd_predict(args) -> int:
+    from .encoder import load_checkpoint, predict_corpus
+
     vocab = _load_vocab_arg(args.vocab)
     docs = load_corpus(args.corpus)
     ckpt = load_checkpoint(args.ckpt)
@@ -359,6 +372,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_tsne(args) -> int:
+    from .encoder import export_embeddings, load_checkpoint
+
     vocab = _load_vocab_arg(args.vocab)
     corpus = load_corpus(args.corpus)
     ckpt = load_checkpoint(args.ckpt)
@@ -417,6 +432,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from .encoder import ModelConfig, grad_check
+
     config = ModelConfig(
         vocab_size=args.vocab_size,
         n_layers=args.layers,
@@ -606,8 +623,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into key=value flags placed before explicit ones."""
+def _boolean_flags(parser: argparse.ArgumentParser, command: str) -> set[str]:
+    """The command's on/off flags, by their positive form (--require-alpha)."""
+    (subparsers,) = parser._subparsers._group_actions
+    sub = subparsers.choices.get(command)
+    if sub is None:
+        return set()
+    return {
+        a.option_strings[0]
+        for a in sub._actions
+        if isinstance(a, argparse.BooleanOptionalAction)
+    }
+
+
+def _apply_config_file(
+    argv: list[str], parser: argparse.ArgumentParser
+) -> list[str]:
+    """Expand --config FILE into key=value flags placed before explicit ones.
+
+    An on/off flag takes true or false: key=true becomes --key and
+    key=false becomes --no-key.
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -617,6 +653,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     rest = argv[:i] + argv[i + 2 :]
     if not rest:
         raise PhenotagError("--config needs a command to apply to")
+    boolean = _boolean_flags(parser, rest[0])
     injected: list[str] = []
     for raw in Path(config_path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
@@ -625,7 +662,13 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise PhenotagError(f"{config_path}: malformed line {line!r}")
-        injected.extend([f"--{key.strip()}", value.strip()])
+        key, value = key.strip(), value.strip()
+        if f"--{key}" not in boolean:
+            injected.extend([f"--{key}", value])
+        elif value.lower() in ("true", "false"):
+            injected.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
+        else:
+            raise PhenotagError(f"{config_path}: {key} takes true or false, not {value!r}")
     # command first, then file-provided flags, then explicit flags (which win)
     return rest[:1] + injected + rest[1:]
 
@@ -634,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
         return args.func(args)
     except PhenotagError as exc:

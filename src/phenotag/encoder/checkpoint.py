@@ -9,6 +9,7 @@ named tensors stored as row-major little-endian float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,19 @@ class Checkpoint:
         for name, tensor in self.params.items():
             if not np.isfinite(tensor).all():
                 raise ValidationError(f"tensor {name!r} contains non-finite values")
+
+    def check_vocab(self, vocab: Vocabulary) -> None:
+        """Reject a vocabulary other than the one this model was trained with."""
+        if len(vocab) != self.config.vocab_size:
+            raise ValidationError(
+                f"vocabulary size {len(vocab)} != model vocab_size "
+                f"{self.config.vocab_size}"
+            )
+        if self.vocab_digest and self.vocab_digest != vocab.digest():
+            raise ValidationError(
+                "vocabulary digest mismatch: checkpoint was trained with a "
+                "different vocabulary"
+            )
 
 
 def init_model(config: ModelConfig, vocab: Vocabulary | None = None) -> Checkpoint:
@@ -87,29 +101,59 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ParseError(f"{path}: not a checkpoint file")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_tensors,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(
-                struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim)
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises:
+        ParseError: naming the file, on a wrong magic, a short read, bad
+            metadata, a tensor larger than the bytes left, or trailing bytes.
+        ValidationError: if a tensor holds non-finite values.
+    """
+    buf = memoryview(Path(path).read_bytes())
+    if buf[: len(_MAGIC)] != _MAGIC:
+        raise ParseError(f"{path}: not a checkpoint file")
+    pos = len(_MAGIC)
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ParseError(
+                f"{path}: truncated checkpoint: {what} needs {n} bytes at offset "
+                f"{pos}, {len(buf) - pos} left"
             )
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").astype(np.float64)
-            params[name] = data.reshape(shape)
+        pos += n
+        return buf[pos - n : pos]
+
+    def unpack(fmt: str, what: str) -> int:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))[0]
+
+    meta_bytes = take(unpack("<I", "metadata length"), "metadata")
+    try:
+        meta = json.loads(bytes(meta_bytes).decode("utf-8"))
+        config = ModelConfig.from_dict(meta["config"])
+        vocab_digest, step = str(meta["vocab_digest"]), int(meta["step"])
+        optimizer = str(meta.get("optimizer", "adam"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: bad checkpoint metadata: {exc}") from None
+    params: dict[str, np.ndarray] = {}
+    for _ in range(unpack("<I", "tensor count")):
+        try:
+            name = bytes(take(unpack("<H", "name length"), "tensor name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: tensor name is not UTF-8") from None
+        shape = tuple(
+            unpack("<Q", f"shape of {name!r}")
+            for _ in range(unpack("<B", f"ndim of {name!r}"))
+        )
+        data = take(math.prod(shape) * 8, f"tensor {name!r} of shape {shape}")
+        params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
+    if pos != len(buf):
+        raise ParseError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
     ckpt = Checkpoint(
         params=params,
-        config=ModelConfig.from_dict(meta["config"]),
-        vocab_digest=meta["vocab_digest"],
-        step=meta["step"],
-        optimizer=meta.get("optimizer", "adam"),
+        config=config,
+        vocab_digest=vocab_digest,
+        step=step,
+        optimizer=optimizer,
     )
     ckpt.validate_finite()
     return ckpt
@@ -181,8 +225,9 @@ def export_embeddings(
 
     Whole-word vocabulary members yield their embedding row; anything else
     yields the mean of its wordpiece rows ([UNK]'s row if the decomposition
-    fails).
+    fails). The vocabulary must be the one the checkpoint was trained with.
     """
+    ckpt.check_vocab(vocab)
     emb = ckpt.params["tok_emb"]
     rows = []
     for token in tokens:

@@ -30,8 +30,9 @@ def predict(
     subwords, then decoded back to character spans. Sentences longer than the
     model's position budget are processed in overlapping windows (stride =
     half a window); each piece takes its tag from the window whose center is
-    nearest.
+    nearest. The vocabulary must be the one the checkpoint was trained with.
     """
+    ckpt.check_vocab(vocab)
     budget = ckpt.config.max_positions - 2
     stride = max(1, budget // 2)
     spans: list[EntitySpan] = []

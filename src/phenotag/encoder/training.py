@@ -85,19 +85,6 @@ class Adam:
             params[k] -= s.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + s.eps)
 
 
-def _check_vocab(ckpt: Checkpoint, vocab: Vocabulary) -> None:
-    if len(vocab) != ckpt.config.vocab_size:
-        raise ValidationError(
-            f"vocabulary size {len(vocab)} != model vocab_size "
-            f"{ckpt.config.vocab_size}"
-        )
-    if ckpt.vocab_digest and ckpt.vocab_digest != vocab.digest():
-        raise ValidationError(
-            "vocabulary digest mismatch: checkpoint was trained with a "
-            "different vocabulary"
-        )
-
-
 def sentence_id_pool(
     corpus: Sequence[Document], vocab: Vocabulary, max_len: int
 ) -> list[list[int]]:
@@ -180,7 +167,7 @@ def pretrain_mlm(
     aborts with a diagnostic naming the step.
     """
     masking.validate()
-    _check_vocab(ckpt, vocab)
+    ckpt.check_vocab(vocab)
     out = ckpt.copy()
     out.vocab_digest = vocab.digest()
     if steps == 0:
@@ -224,7 +211,7 @@ def masked_accuracy(
 ) -> float:
     """Masked-token accuracy of a trained model over freshly masked sentences."""
     masking.validate()
-    _check_vocab(ckpt, vocab)
+    ckpt.check_vocab(vocab)
     pool = sentence_id_pool(corpus, vocab, ckpt.config.max_positions)
     if not pool:
         raise ValidationError("corpus contains no sentences")
@@ -303,7 +290,7 @@ def finetune_ner(
     Loss is per-token cross entropy over the tag set with IGNORE positions
     excluded. The vocabulary must match the checkpoint's digest.
     """
-    _check_vocab(ckpt, vocab)
+    ckpt.check_vocab(vocab)
     examples = build_ner_examples(train_docs, vocab, hyper.max_len)
     if not examples:
         raise ValidationError("no training sentences after encoding")

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from scipy import stats as _scipy_stats
-
 from .corpus import Document, EntityLabel, EntitySpan, LABELS
 from .errors import ValidationError
 
@@ -220,7 +218,13 @@ class RunAggregate:
 
 
 def aggregate_values(values: Sequence[float], confidence: float = 0.95) -> MetricStats:
-    """Mean, sample stdev, and a Student-t confidence interval."""
+    """Mean, sample stdev, and a Student-t confidence interval.
+
+    ``stdtrit`` is the inverse Student-t CDF behind ``scipy.stats.t.ppf``,
+    without the second of import that ``scipy.stats`` costs.
+    """
+    from scipy.special import stdtrit
+
     n = len(values)
     if n == 0:
         raise ValidationError("cannot aggregate an empty list")
@@ -229,7 +233,7 @@ def aggregate_values(values: Sequence[float], confidence: float = 0.95) -> Metri
         return MetricStats(mean=mean)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     s = math.sqrt(var)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
+    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     half = t_crit * s / math.sqrt(n)
     return MetricStats(mean=mean, stdev=s, ci_low=mean - half, ci_high=mean + half)
 

@@ -158,6 +158,30 @@ class TestConfigFile:
         assert len(load_corpus(out)) == 4
 
 
+    def test_boolean_flag_true_and_false(self, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--seed", "1", "--docs", "5", "--test-fraction", "0",
+            "--out", str(corpus))
+        for value, expected in [("false", "False"), ("true", "True"), ("False", "False")]:
+            cfg = tmp_path / "vocab.cfg"
+            cfg.write_text(f"require-alpha={value}\nmin-count=2\n")
+            out = tmp_path / f"v-{value}.txt"
+            assert run("build-vocab", "--config", str(cfg), "--mode", "freq",
+                       "--corpus", str(corpus), "--out", str(out)) == 0
+            echo = json.loads(out.with_name(out.name + ".config.json").read_text())
+            assert echo["require_alpha"] == expected
+
+    def test_boolean_flag_other_value_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "vocab.cfg"
+        cfg.write_text("require-alpha=maybe\n")
+        code = run("build-vocab", "--config", str(cfg), "--mode", "base",
+                   "--out", str(tmp_path / "v.txt"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "require-alpha" in err
+        assert err.count("\n") == 1
+
+
 class TestTokenizeCommand:
     def test_pieces_printed(self, capsys):
         assert run("tokenize", "--text", "HER2 positive") == 0
@@ -215,3 +239,94 @@ class TestGradcheckCommand:
                    "--coords", "16")
         assert code == 0
         assert "max_rel_error" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A 2-step pre-trained tiny model on the base vocabulary, plus a curated
+    vocabulary of the same size that the model was not trained with."""
+    root = tmp_path_factory.mktemp("tiny")
+    corpus = root / "c.jsonl"
+    run("synth", "--seed", "7", "--docs", "8", "--out", str(corpus))
+    base, cur, ckpt = root / "base.txt", root / "cur.txt", root / "m.ckpt"
+    run("build-vocab", "--mode", "base", "--out", str(base))
+    run("build-vocab", "--mode", "curated", "--base", str(base), "--out", str(cur))
+    assert run("pretrain", "--corpus", str(corpus), "--vocab", str(base),
+               "--steps", "2", "--layers", "1", "--d-model", "16", "--n-heads", "2",
+               "--d-ff", "32", "--max-positions", "64", "--out", str(ckpt)) == 0
+    return {"corpus": str(corpus), "train": str(root / "c.train.jsonl"),
+            "base": str(base), "cur": str(cur), "ckpt": ckpt}
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+class TestModelCommandFailures:
+    def test_finetune_zero_epochs(self, tiny_model, tmp_path, capsys):
+        out = tmp_path / "ft.ckpt"
+        assert run("finetune", "--ckpt", str(tiny_model["ckpt"]),
+                   "--corpus", tiny_model["train"], "--vocab", tiny_model["base"],
+                   "--epochs", "0", "--out", str(out)) == 0
+        assert "fine-tuned 0 epochs (no epochs run)" in capsys.readouterr().out
+        assert out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "tsne"])
+    def test_other_vocabulary_is_one_line_error(self, tiny_model, tmp_path, capsys,
+                                                command):
+        out = tmp_path / "out"
+        code = run(command, "--ckpt", str(tiny_model["ckpt"]),
+                   "--vocab", tiny_model["cur"], "--corpus", tiny_model["corpus"],
+                   "--out", str(out))
+        assert code == 1
+        assert "vocabulary digest mismatch" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_truncated_checkpoint_is_one_line_error(self, tiny_model, tmp_path,
+                                                    capsys):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(tiny_model["ckpt"].read_bytes()[:1000])
+        code = run("predict", "--ckpt", str(bad), "--vocab", tiny_model["base"],
+                   "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1
+        assert "cut.ckpt" in one_line_error(capsys)
+
+
+class TestStartupImports:
+    """A command imports only what it runs."""
+
+    def run_python(self, code: str) -> list[str]:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=child_env(), check=True)
+        return proc.stdout.split()
+
+    def test_cli_import_loads_no_scipy_or_encoder(self):
+        loaded = self.run_python(
+            "import sys, phenotag.cli\n"
+            "for m in ('scipy.stats', 'scipy.special', 'phenotag.encoder'):\n"
+            "    print(m in sys.modules)"
+        )
+        assert loaded == ["False", "False", "False"]
+
+    def test_data_commands_skip_encoder_and_scipy_stats(self, tmp_path):
+        loaded = self.run_python(
+            "import sys\n"
+            "from phenotag.cli import main\n"
+            f"d = {str(tmp_path)!r}\n"
+            "c = d + '/c.jsonl'\n"
+            "for argv in (\n"
+            "    ['synth', '--docs', '6', '--test-fraction', '0', '--out', c],\n"
+            "    ['stats', '--corpus', c],\n"
+            "    ['build-vocab', '--mode', 'base', '--out', d + '/v.txt'],\n"
+            "    ['coverage', '--corpus', c, '--vocab', d + '/v.txt'],\n"
+            "    ['evaluate', '--gold', c, '--pred', c, '--out', d + '/r.tsv'],\n"
+            "    ['errors', '--gold', c, '--pred', c],\n"
+            "    ['aggregate', '--group', f'g={d}/r.json,{d}/r.json',\n"
+            "     '--out', d + '/agg.tsv'],\n"
+            "):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('phenotag.encoder' in sys.modules, 'scipy.stats' in sys.modules)"
+        )
+        assert loaded[-2:] == ["False", "False"]

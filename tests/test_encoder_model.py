@@ -13,7 +13,7 @@ from phenotag.encoder import (
     save_checkpoint,
 )
 from phenotag.encoder.model import forward_hidden, init_params
-from phenotag.errors import ConfigurationError, ValidationError
+from phenotag.errors import ConfigurationError, ParseError, ValidationError
 from phenotag.tokenizer import UNK, wordpiece
 from phenotag.vocab_expand import CandidateList, expand_frequency
 
@@ -127,10 +127,38 @@ class TestCheckpointIO:
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"garbage")
-        from phenotag.errors import ParseError
-
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def test_truncated_or_padded_file_names_itself(self, tmp_path):
+        src = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(TINY), src)
+        data = src.read_bytes()
+        meta_end = 12 + int.from_bytes(data[8:12], "little")
+        cuts = [0, 5, 8, 10, 12, 40, meta_end, meta_end + 3, meta_end + 7,
+                1000, len(data) // 2, len(data) - 8, len(data) - 1]
+        cases = [data[:n] for n in cuts] + [data + b"\0"]
+        for i, blob in enumerate(cases):
+            path = tmp_path / f"bad{i}.ckpt"
+            path.write_bytes(blob)
+            with pytest.raises(ParseError, match=f"bad{i}.ckpt"):
+                load_checkpoint(path)
+
+    def test_bad_metadata_and_oversized_shape(self, tmp_path):
+        src = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(TINY), src)
+        data = src.read_bytes()
+        meta_len = int.from_bytes(data[8:12], "little")
+        bad_json = data[:12] + b"{" * meta_len + data[12 + meta_len:]
+        # the first tensor's first dimension claims 2**62 rows
+        name_len = int.from_bytes(data[16 + meta_len:18 + meta_len], "little")
+        dim_at = 18 + meta_len + name_len + 1
+        huge = data[:dim_at] + (2**62).to_bytes(8, "little") + data[dim_at + 8:]
+        for name, blob in [("json", bad_json), ("shape", huge)]:
+            path = tmp_path / f"{name}.ckpt"
+            path.write_bytes(blob)
+            with pytest.raises(ParseError, match=f"{name}.ckpt"):
+                load_checkpoint(path)
 
 
 def expanded_pair():
@@ -247,6 +275,16 @@ class TestExportEmbeddings:
         )
         matrix, labels = export_embeddings(ck, vocab, [])
         assert matrix.shape == (0, 8) and labels == []
+
+    def test_other_vocabulary_rejected(self):
+        vocab = make_vocab("aa", "bb")
+        ck = init_model(
+            ModelConfig(vocab_size=len(vocab), n_layers=0, d_model=8, n_heads=1, d_ff=8,
+                        max_positions=4),
+            vocab,
+        )
+        with pytest.raises(ValidationError, match="digest"):
+            export_embeddings(ck, make_vocab("aa", "cc"), ["aa"])
 
     def test_row_order_is_input_order(self):
         vocab = make_vocab("aa", "bb")

@@ -19,6 +19,7 @@ from phenotag.encoder import (
 )
 from phenotag.errors import ConfigurationError, ValidationError
 from phenotag.synthesis import generate_synthetic
+from phenotag.tokenizer import Vocabulary
 
 CL = EntityLabel.CANCER_LATERALITY
 
@@ -112,8 +113,6 @@ class TestFinetune:
         trained, _ = pretrain_mlm(ck, docs, vocab, steps=1, seed=0)
         other_tokens = list(vocab.tokens)
         other_tokens[vocab.placeholder_ids[0]] = "novelword"
-        from phenotag.tokenizer import Vocabulary
-
         other = Vocabulary(tuple(other_tokens))
         with pytest.raises(ValidationError, match="digest"):
             finetune_ner(trained, docs, other)
@@ -182,6 +181,18 @@ class TestPredict:
         # both run; spans stay in bounds (predictions differ since windows differ)
         for s in a + b:
             assert 0 <= s.start_char < s.end_char <= len(doc.text)
+
+    def test_other_vocabulary_rejected(self, small_setup):
+        vocab, docs, ck = small_setup
+        tokens = list(vocab.tokens)
+        tokens[vocab.placeholder_ids[0]] = "novelword"
+        other = Vocabulary(tuple(tokens))
+        with pytest.raises(ValidationError, match="digest"):
+            predict(ck, docs[0], other)
+        with pytest.raises(ValidationError, match="digest"):
+            predict_corpus(ck, docs, other)
+        with pytest.raises(ValidationError, match="vocab_size"):
+            predict(ck, docs[0], make_vocab("her"))
 
     def test_predicted_corpus_keeps_ids_and_text(self, small_setup):
         vocab, docs, ck = small_setup

@@ -181,6 +181,17 @@ class TestAggregate:
         assert st.ci_high - st.mean == pytest.approx(half, rel=1e-9)
         assert st.ci_high - st.mean == pytest.approx(0.635, abs=1e-3)
 
+    @pytest.mark.parametrize("df, t_crit", [
+        (1, 12.706204736174694), (4, 2.7764451051977934), (9, 2.262157162798205),
+    ])
+    def test_critical_value_pinned_at_95(self, df, t_crit):
+        # the exact floats scipy.stats.t.ppf(0.975, df) returns
+        values = [0.5 + 0.01 * (i % 3) for i in range(df + 1)]
+        st = aggregate_values(values, confidence=0.95)
+        n = len(values)
+        assert st.ci_high == st.mean + t_crit * st.stdev / math.sqrt(n)
+        assert st.ci_low == st.mean - t_crit * st.stdev / math.sqrt(n)
+
     def test_single_run_mean_only(self, corpus200):
         report = score(corpus200[:5], corpus200[:5])
         agg = aggregate_runs([report])
