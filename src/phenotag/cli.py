@@ -33,7 +33,7 @@ from .corpus import (
     split_corpus,
     token_labels,
 )
-from .errors import PhenotagError
+from .errors import ParseError, PhenotagError
 from .evaluation import (
     MatchReport,
     aggregate_runs,
@@ -360,8 +360,11 @@ def cmd_aggregate(args) -> int:
             )
         reports = []
         for p in paths.split(","):
-            data = json.loads(Path(p).read_text(encoding="utf-8"))
-            reports.append(MatchReport.from_dict(data))
+            try:
+                data = json.loads(Path(p).read_text(encoding="utf-8"))
+                reports.append(MatchReport.from_dict(data))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{p}: not a match report: {exc!r}") from None
         groups[name] = aggregate_runs(reports, confidence=args.confidence)
     table = format_aggregate_table(groups)
     print(table, end="")
@@ -683,7 +686,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhenotagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,12 +9,23 @@ norm. The masked-LM decoder is weight-tied to the token embedding matrix
 plus a per-token output bias. A linear head over hidden states produces tag
 logits for token classification.
 
-All parameters live in a flat ``dict[str, np.ndarray]``; every function here
-is pure in the sense that it never mutates its inputs.
+All parameters live in a flat ``dict[str, np.ndarray]``. The public functions
+are pure: they never mutate their inputs. The private kernels work in place
+on temporaries they allocated themselves, in the operation order of the
+plain expressions, so results are bitwise the same with fewer allocations.
+
+Importing this module sets two glibc ``mallopt`` tunables for the process, so
+the activation memory each training step frees (~23 MB at batch 32 x 40)
+stays in the heap for the next step instead of going back to the OS and
+being page-faulted in again: blocks up to 32 MiB come from the heap, and the
+heap is trimmed only above 64 MiB free. Both are needed, since setting either
+one fixes glibc's dynamic mmap threshold at 128 KiB. Other C libraries are
+left alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -26,6 +37,26 @@ from .config import ModelConfig
 LN_EPS = 1e-12
 _NEG_BIG = 1e9
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for reuse (see module docstring)."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # AttributeError outside glibc
+        mallopt = libc.mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
+    mallopt(_M_TRIM_THRESHOLD, 64 * 1024 * 1024)
+
+
+_keep_freed_memory()
 
 
 def param_names(config: ModelConfig) -> list[str]:
@@ -93,43 +124,62 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _layernorm(x, g, b):
     mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    xhat = x - mu
+    sq = xhat * xhat
+    var = sq.mean(-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat *= inv
+    y = np.multiply(g, xhat, out=sq)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layernorm_backward(dy, cache):
     xhat, inv, g = cache
-    dxhat = dy * g
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dx = inv * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
+    axes = tuple(range(dy.ndim - 1))
+    dx = dy * g
+    tmp = dy * xhat
+    dg = tmp.sum(axis=axes)
+    db = dy.sum(axis=axes)
+    np.multiply(dx, xhat, out=tmp)
+    m2 = tmp.mean(-1, keepdims=True)
+    dx -= dx.mean(-1, keepdims=True)
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dg, db
 
 
 def _gelu(x):
-    return x * ndtr(x)
+    """GELU with the exact normal CDF; returns (activation, cdf)."""
+    cdf = ndtr(x)
+    return x * cdf, cdf
 
 
-def _gelu_backward(dy, x):
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return dy * (ndtr(x) + x * phi)
+def _gelu_backward(dy, x, cdf):
+    """dy * d/dx[x * cdf(x)] = dy * (cdf + x * pdf), with cdf from the forward."""
+    g = -0.5 * x
+    g *= x
+    np.exp(g, out=g)
+    g *= _INV_SQRT_2PI
+    g *= x
+    g += cdf
+    g *= dy
+    return g
 
 
 def _softmax_last(x):
-    m = x.max(-1, keepdims=True)
-    ex = np.exp(x - m)
-    return ex / ex.sum(-1, keepdims=True)
+    ex = x - x.max(-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(-1, keepdims=True)
+    return ex
 
 
 def _softmax_backward(dp, p):
-    return p * (dp - (dp * p).sum(-1, keepdims=True))
+    d = dp * p
+    np.subtract(dp, d.sum(-1, keepdims=True), out=d)
+    d *= p
+    return d
 
 
 def _split_heads(x, n_heads):
@@ -140,6 +190,13 @@ def _split_heads(x, n_heads):
 def _merge_heads(x):
     b, h, s, dk = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dk)
+
+
+def _affine(x, w, b):
+    """x @ w + b, adding the bias into the product's buffer."""
+    y = x @ w
+    y += b
+    return y
 
 
 def _linear_backward(dy, x, w):
@@ -193,7 +250,8 @@ def forward_hidden(
 
     cache: dict = {"ids": ids, "mask": mask, "config": config, "layers": []}
 
-    e = params["tok_emb"][ids] + params["pos_emb"][:s]
+    e = params["tok_emb"][ids]
+    e += params["pos_emb"][:s]
     h, emb_ln = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
     emb_drop = drop(h.shape)
     h = apply_drop(h, emb_drop)
@@ -205,35 +263,38 @@ def forward_hidden(
     for i in range(config.n_layers):
         pre = f"l{i}."
         x = h
-        q = x @ params[pre + "attn_wq"] + params[pre + "attn_bq"]
-        k = x @ params[pre + "attn_wk"] + params[pre + "attn_bk"]
-        v = x @ params[pre + "attn_wv"] + params[pre + "attn_bv"]
+        q = _affine(x, params[pre + "attn_wq"], params[pre + "attn_bq"])
+        k = _affine(x, params[pre + "attn_wk"], params[pre + "attn_bk"])
+        v = _affine(x, params[pre + "attn_wv"], params[pre + "attn_bv"])
         qh = _split_heads(q, config.n_heads)
         kh = _split_heads(k, config.n_heads)
         vh = _split_heads(v, config.n_heads)
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= scale
+        scores += key_bias
         probs = _softmax_last(scores)
         probs_drop = drop(probs.shape)
         probs_used = apply_drop(probs, probs_drop)
         ctx = _merge_heads(probs_used @ vh)
-        attn = ctx @ params[pre + "attn_wo"] + params[pre + "attn_bo"]
+        attn = _affine(ctx, params[pre + "attn_wo"], params[pre + "attn_bo"])
         attn_drop = drop(attn.shape)
         attn = apply_drop(attn, attn_drop)
-        r1 = x + attn
-        n1, ln1 = _layernorm(r1, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"])
-        hmid = n1 @ params[pre + "ffn_w1"] + params[pre + "ffn_b1"]
-        act = _gelu(hmid)
-        f = act @ params[pre + "ffn_w2"] + params[pre + "ffn_b2"]
+        attn += x  # residual
+        n1, ln1 = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"])
+        hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
+        act, cdf = _gelu(hmid)
+        f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         ffn_drop = drop(f.shape)
         f = apply_drop(f, ffn_drop)
-        r2 = n1 + f
-        h, ln2 = _layernorm(r2, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
+        f += n1  # residual
+        h, ln2 = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
         cache["layers"].append(
             {
                 "x": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
                 "probs_drop": probs_drop, "probs_used": probs_used,
                 "ctx": ctx, "attn_drop": attn_drop, "ln1": ln1, "n1": n1,
-                "hmid": hmid, "act": act, "ffn_drop": ffn_drop, "ln2": ln2,
+                "hmid": hmid, "cdf": cdf, "act": act, "ffn_drop": ffn_drop,
+                "ln2": ln2,
             }
         )
     return h, cache
@@ -260,11 +321,11 @@ def backward_hidden(
         dact, dw2, db2f = _linear_backward(df, lc["act"], params[pre + "ffn_w2"])
         grads[pre + "ffn_w2"] += dw2
         grads[pre + "ffn_b2"] += db2f
-        dhmid = _gelu_backward(dact, lc["hmid"])
+        dhmid = _gelu_backward(dact, lc["hmid"], lc["cdf"])
         dn1, dw1, db1f = _linear_backward(dhmid, lc["n1"], params[pre + "ffn_w1"])
         grads[pre + "ffn_w1"] += dw1
         grads[pre + "ffn_b1"] += db1f
-        dn1 = dn1 + dr2  # residual around the feed-forward block
+        dn1 += dr2  # residual around the feed-forward block
         dr1, dg1, db1 = _layernorm_backward(dn1, lc["ln1"])
         grads[pre + "attn_ln_g"] += dg1
         grads[pre + "attn_ln_b"] += db1
@@ -281,8 +342,10 @@ def backward_hidden(
             else dprobs_used * lc["probs_drop"]
         )
         dscores = _softmax_backward(dprobs, lc["probs"])
-        dqh = dscores @ lc["kh"] * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"] * scale
+        dqh = dscores @ lc["kh"]
+        dqh *= scale
+        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"]
+        dkh *= scale
         dq = _merge_heads(dqh)
         dk = _merge_heads(dkh)
         dv = _merge_heads(dvh)
@@ -291,7 +354,7 @@ def backward_hidden(
             dxi, dw, db = _linear_backward(dout, lc["x"], params[pre + name])
             grads[pre + name] += dw
             grads[pre + name.replace("w", "b")] += db
-            dx = dx + dxi
+            dx += dxi
         dh = dx
 
     if cache["emb_drop"] is not None:
@@ -343,7 +406,7 @@ def mlm_loss_and_grads(
         raise ConfigurationError("no masked positions: nothing to supervise")
     h, cache = forward_hidden(params, config, ids, mask, dropout_rng)
     hm = h[pos_b, pos_s]
-    logits = hm @ params["tok_emb"].T + params["mlm_bias"]
+    logits = _affine(hm, params["tok_emb"].T, params["mlm_bias"])
     loss, acc, dlogits = _softmax_xent(logits, labels)
     grads = zero_grads(params)
     grads["mlm_bias"] += dlogits.sum(0)
@@ -369,7 +432,7 @@ def ner_loss_and_grads(
         raise ConfigurationError("no supervised token positions in batch")
     h, cache = forward_hidden(params, config, ids, mask, dropout_rng)
     hs = h[sel]
-    logits = hs @ params["ner_w"] + params["ner_b"]
+    logits = _affine(hs, params["ner_w"], params["ner_b"])
     loss, acc, dlogits = _softmax_xent(logits, tag_ids[sel])
     grads = zero_grads(params)
     grads["ner_w"] += hs.T @ dlogits
@@ -388,4 +451,4 @@ def tag_logits(
 ) -> np.ndarray:
     """Inference-mode tag logits [B, S, n_tags]."""
     h, _ = forward_hidden(params, config, ids, mask)
-    return h @ params["ner_w"] + params["ner_b"]
+    return _affine(h, params["ner_w"], params["ner_b"])

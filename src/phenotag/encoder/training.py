@@ -79,10 +79,24 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - s.beta1**self.t
         bc2 = 1.0 - s.beta2**self.t
+        # In place, in the operation order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
         for k, g in grads.items():
-            self.m[k] = s.beta1 * self.m[k] + (1.0 - s.beta1) * g
-            self.v[k] = s.beta2 * self.v[k] + (1.0 - s.beta2) * g * g
-            params[k] -= s.lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + s.eps)
+            m, v = self.m[k], self.v[k]
+            m *= s.beta1
+            m += (1.0 - s.beta1) * g
+            v *= s.beta2
+            gg = (1.0 - s.beta2) * g
+            gg *= g
+            v += gg
+            upd = np.divide(m, bc1)
+            upd *= s.lr
+            den = np.divide(v, bc2, out=gg)
+            np.sqrt(den, out=den)
+            den += s.eps
+            upd /= den
+            params[k] -= upd
 
 
 def sentence_id_pool(

@@ -136,6 +136,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "997" in err
 
+    def test_directory_as_corpus_is_one_line_error(self, tmp_path, capsys):
+        assert run("stats", "--corpus", str(tmp_path)) == 1
+        assert str(tmp_path) in one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", ["{not json", "{}"])
+    def test_bad_report_is_one_line_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        code = run("aggregate", "--group", f"g={bad}", "--out", str(tmp_path / "a.tsv"))
+        assert code == 1
+        assert "bad.json: not a match report" in one_line_error(capsys)
+        assert not (tmp_path / "a.tsv").exists()
+
 
 class TestOutputRoot:
     def test_env_var_anchors_relative_outputs(self, tmp_path, monkeypatch):

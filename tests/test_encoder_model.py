@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from conftest import make_vocab
 from phenotag.encoder import (
+    Adam,
     Checkpoint,
     ModelConfig,
+    OptimizerConfig,
     export_embeddings,
     forward,
     init_model,
@@ -12,7 +15,18 @@ from phenotag.encoder import (
     resize_for_vocab,
     save_checkpoint,
 )
-from phenotag.encoder.model import forward_hidden, init_params
+from phenotag.encoder.model import (
+    _INV_SQRT_2PI,
+    LN_EPS,
+    _gelu,
+    _gelu_backward,
+    _layernorm,
+    _layernorm_backward,
+    _softmax_backward,
+    _softmax_last,
+    forward_hidden,
+    init_params,
+)
 from phenotag.errors import ConfigurationError, ParseError, ValidationError
 from phenotag.tokenizer import UNK, wordpiece
 from phenotag.vocab_expand import CandidateList, expand_frequency
@@ -108,6 +122,88 @@ class TestForward:
             ck.params, cfg, ids, mask, dropout_rng=np.random.default_rng(0)
         )[0]
         assert not np.allclose(plain, dropped)
+
+
+def mixed_normal(rng, *shape):
+    """Normal draws with |x| > 8 in the tails and some exact zeros."""
+    x = rng.normal(0.0, 4.0, shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x.flat[:3] = (9.5, -12.0, 30.0)
+    return x
+
+
+class TestKernelsMatchPlainExpressions:
+    """The in-place kernels against the plain expressions they replace,
+    compared bit for bit."""
+
+    def test_gelu_and_backward(self):
+        rng = np.random.default_rng(11)
+        x, dy = mixed_normal(rng, 3, 5, 32), mixed_normal(rng, 3, 5, 32)
+        x0, dy0 = x.copy(), dy.copy()
+        act, cdf = _gelu(x)
+        np.testing.assert_array_equal(act, x0 * ndtr(x0))
+        dx = _gelu_backward(dy, x, cdf)
+        phi = np.exp(-0.5 * x0 * x0) * _INV_SQRT_2PI
+        assert np.array_equal(dx, dy0 * (ndtr(x0) + x0 * phi))
+        assert np.array_equal(x, x0) and np.array_equal(dy, dy0)
+
+    def test_softmax_and_backward(self):
+        rng = np.random.default_rng(12)
+        x, dp = mixed_normal(rng, 2, 3, 6, 6), mixed_normal(rng, 2, 3, 6, 6)
+        x[..., -2:] -= 1e9  # masked keys
+        x0, dp0 = x.copy(), dp.copy()
+        p = _softmax_last(x)
+        ex = np.exp(x0 - x0.max(-1, keepdims=True))
+        assert np.array_equal(p, ex / ex.sum(-1, keepdims=True))
+        dx = _softmax_backward(dp, p)
+        assert np.array_equal(dx, p * (dp0 - (dp0 * p).sum(-1, keepdims=True)))
+        assert np.array_equal(x, x0) and np.array_equal(dp, dp0)
+
+    def test_layernorm_and_backward(self):
+        rng = np.random.default_rng(13)
+        x, dy = mixed_normal(rng, 3, 5, 16), mixed_normal(rng, 3, 5, 16)
+        x[0, 0] = 0.0  # a constant row: zero variance
+        g, b = mixed_normal(rng, 16), mixed_normal(rng, 16)
+        x0, dy0 = x.copy(), dy.copy()
+        y, cache = _layernorm(x, g, b)
+        xc = x0 - x0.mean(-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + LN_EPS)
+        xhat = xc * inv
+        assert np.array_equal(y, g * xhat + b)
+        assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv)
+        dx, dg, db = _layernorm_backward(dy, cache)
+        dxhat = dy0 * g
+        ref = inv * (
+            dxhat
+            - dxhat.mean(-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(-1, keepdims=True)
+        )
+        assert np.array_equal(dx, ref)
+        assert np.array_equal(dg, (dy0 * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(db, dy0.sum(axis=(0, 1)))
+        assert np.array_equal(x, x0) and np.array_equal(dy, dy0)
+
+    def test_five_adam_steps(self):
+        rng = np.random.default_rng(14)
+        params = {"w": mixed_normal(rng, 6, 4), "b": mixed_normal(rng, 4)}
+        settings = OptimizerConfig(lr=4e-3)
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        adam = Adam(params, settings)
+        s = settings
+        for t in range(1, 6):
+            grads = {k: mixed_normal(rng, *p.shape) for k, p in params.items()}
+            grads["w"][2] = 0.0
+            adam.step(params, {k: g.copy() for k, g in grads.items()})
+            bc1, bc2 = 1.0 - s.beta1**t, 1.0 - s.beta2**t
+            for k, g in grads.items():
+                m[k] = s.beta1 * m[k] + (1.0 - s.beta1) * g
+                v[k] = s.beta2 * v[k] + (1.0 - s.beta2) * g * g
+                ref[k] -= s.lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + s.eps)
+        for k in params:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(adam.m[k], m[k]) and np.array_equal(adam.v[k], v[k])
 
 
 class TestCheckpointIO:
