@@ -5,6 +5,8 @@ coverage, pre-train, resize embeddings after expansion, fine-tune, predict,
 score, analyze errors, aggregate runs, project embeddings, and run the
 gradient check. Every command is deterministic given its flags, writes its
 artifacts under --out, and echoes its resolved configuration next to them.
+Every file is written whole (see atomic.py), so a failed or killed command
+leaves the previous file, never a part of a new one.
 
 A command imports only what it runs: the model commands import the encoder
 inside their function, so the other commands never load it or scipy.
@@ -23,6 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_write
 from .basevocab import default_vocabulary
 from .corpus import (
     cohen_kappa,
@@ -67,6 +70,11 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _echo_config(args: argparse.Namespace, out: Path) -> None:
     skip = {"func", "config", "command"}
     resolved = {k: str(v) for k, v in vars(args).items() if k not in skip}
@@ -74,10 +82,10 @@ def _echo_config(args: argparse.Namespace, out: Path) -> None:
         target = out / f"{args.command}.config.json"
     else:
         target = out.parent / (out.name + ".config.json")
-    target.write_text(
+    _write_text(
+        target,
         json.dumps({"command": args.command, **resolved}, indent=2, sort_keys=True)
         + "\n",
-        encoding="utf-8",
     )
 
 
@@ -116,7 +124,7 @@ def cmd_stats(args) -> int:
     print(table, end="")
     if args.out:
         out = _out_path(args.out)
-        out.write_text(table, encoding="utf-8")
+        _write_text(out, table)
         _echo_config(args, out)
     return 0
 
@@ -165,7 +173,7 @@ def cmd_coverage(args) -> int:
     print(table, end="")
     if args.out:
         out = _out_path(args.out)
-        out.write_text(table, encoding="utf-8")
+        _write_text(out, table)
         _echo_config(args, out)
     return 0
 
@@ -191,7 +199,7 @@ def cmd_tokenize(args) -> int:
     print(output, end="")
     if args.out:
         out = _out_path(args.out)
-        out.write_text(output, encoding="utf-8")
+        _write_text(out, output)
         _echo_config(args, out)
     return 0
 
@@ -243,7 +251,7 @@ def cmd_pretrain(args) -> int:
     out = _out_path(args.out)
     save_checkpoint(trained, out)
     if args.trace:
-        _out_path(args.trace).write_text(format_trace(records), encoding="utf-8")
+        _write_text(_out_path(args.trace), format_trace(records))
     last = records[-1] if records else None
     summary = (
         f"loss {last.loss:.4f}, masked accuracy {last.accuracy:.3f}"
@@ -295,7 +303,7 @@ def cmd_finetune(args) -> int:
     out = _out_path(args.out)
     save_checkpoint(tuned, out)
     if args.trace:
-        _out_path(args.trace).write_text(format_trace(records), encoding="utf-8")
+        _write_text(_out_path(args.trace), format_trace(records))
     last = records[-1] if records else None
     summary = (
         f"loss {last.loss:.4f}, tag accuracy {last.accuracy:.3f}"
@@ -329,10 +337,10 @@ def cmd_evaluate(args) -> int:
     table = format_match_report(report)
     print(table, end="")
     out = _out_path(args.out)
-    out.write_text(table, encoding="utf-8")
-    out.with_suffix(".json").write_text(
+    _write_text(out, table)
+    _write_text(
+        out.with_suffix(".json"),
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
     )
     _echo_config(args, out)
     return 0
@@ -345,7 +353,7 @@ def cmd_errors(args) -> int:
     print(table, end="")
     if args.out:
         out = _out_path(args.out)
-        out.write_text(table, encoding="utf-8")
+        _write_text(out, table)
         _echo_config(args, out)
     return 0
 
@@ -369,7 +377,7 @@ def cmd_aggregate(args) -> int:
     table = format_aggregate_table(groups)
     print(table, end="")
     out = _out_path(args.out)
-    out.write_text(table, encoding="utf-8")
+    _write_text(out, table)
     _echo_config(args, out)
     return 0
 
@@ -399,7 +407,7 @@ def cmd_tsne(args) -> int:
     for token, (x, y) in zip(labels, coords):
         lines.append(f"{token},{token_label[token]},{x:.6f},{y:.6f}")
     out = _out_path(args.out)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(lines) + "\n")
     print(
         f"projected {len(tokens)} tokens (KL {kl_trace[0]:.3f} -> "
         f"{kl_trace[-1]:.3f}); wrote {out}"
@@ -429,7 +437,7 @@ def cmd_kappa(args) -> int:
     print(f"kappa\t{kappa:.4f}")
     if args.out:
         out = _out_path(args.out)
-        out.write_text(f"kappa\t{kappa:.6f}\n", encoding="utf-8")
+        _write_text(out, f"kappa\t{kappa:.6f}\n")
         _echo_config(args, out)
     return 0
 
@@ -458,7 +466,7 @@ def cmd_gradcheck(args) -> int:
     print("\n".join(lines))
     if args.out:
         out = _out_path(args.out)
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(out, "\n".join(lines) + "\n")
         _echo_config(args, out)
     if result.max_rel_error > args.tolerance:
         print(

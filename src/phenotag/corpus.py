@@ -17,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from .atomic import atomic_write
 from .errors import ConfigurationError, ParseError, ValidationError
 from .tokenizer import TokenizedText, basic_tokenize
 
@@ -122,7 +123,7 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 
 def save_corpus(corpus: Iterable[Document], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in corpus:
             rec = {
                 "doc_id": doc.doc_id,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ParseError, ValidationError
 from ..tokenizer import UNK, Vocabulary, wordpiece
 from .config import ModelConfig
@@ -84,7 +85,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "optimizer": ckpt.optimizer,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import atomic_write
 from .errors import ConfigurationError, ParseError, ValidationError
 
 PAD = "[PAD]"
@@ -141,7 +142,7 @@ def load_vocab(path: str | Path) -> Vocabulary:
 
 
 def save_vocab(vocab: Vocabulary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token in vocab.tokens:
             fh.write(token + "\n")
 

@@ -5,13 +5,13 @@ conditional distribution hits the target perplexity; affinities are
 symmetrized and normalized, low-dimensional similarities use a Student-t
 kernel with one degree of freedom, and optimization is plain gradient descent
 with early exaggeration and a momentum switch. Deterministic given the seed.
+
+numpy is imported inside each function, so `import phenotag` loads none.
 """
 
 from __future__ import annotations
 
 import logging
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -21,6 +21,8 @@ _P_MIN = 1e-12
 
 
 def _squared_distances(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     sq = (x * x).sum(1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(d2, 0.0)
@@ -28,6 +30,8 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
 
 
 def _entropy_and_probs(dist_row: np.ndarray, beta: float):
+    import numpy as np
+
     p = np.exp(-dist_row * beta)
     sum_p = p.sum()
     if sum_p <= 0.0:
@@ -47,6 +51,8 @@ def joint_probabilities(
     of its conditional distribution matches log(perplexity) within ``tol``
     (at most ``max_steps`` halvings/doublings).
     """
+    import numpy as np
+
     n = x.shape[0]
     d2 = _squared_distances(x)
     target = np.log(perplexity)
@@ -74,6 +80,8 @@ def joint_probabilities(
 
 
 def _student_t_q(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     num = 1.0 / (1.0 + _squared_distances(y))
     np.fill_diagonal(num, 0.0)
     q = np.maximum(num / num.sum(), _P_MIN)
@@ -81,6 +89,8 @@ def _student_t_q(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    import numpy as np
+
     mask = ~np.eye(p.shape[0], dtype=bool)
     return float((p[mask] * np.log(p[mask] / q[mask])).sum())
 
@@ -102,6 +112,8 @@ def tsne(
     thereafter. Requires n >= 4; perplexity above (n-1)/3 is clamped with a
     notice; duplicate points get a seeded epsilon jitter.
     """
+    import numpy as np
+
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError("embeddings must be a 2-D matrix")

@@ -115,14 +115,26 @@ def expand_frequency(vocab: Vocabulary, candidates: CandidateList, k: int) -> Vo
 def expand_curated(vocab: Vocabulary, wordlist: Sequence[str]) -> Vocabulary:
     """Overwrite placeholder slots with a curated wordlist.
 
-    Words already in the vocabulary are skipped with a notice; the remaining
-    novel words must fit the placeholder budget.
+    Words already in the vocabulary are skipped with a notice, and so are
+    words that basic_tokenize splits (such as "heart failure" or "o'brien"):
+    tokenization never looks such a word up whole, so its slot would be dead.
+    The remaining novel words must fit the placeholder budget.
     """
     normalized: dict[str, None] = {}
+    rejected: dict[str, None] = {}
     for raw in wordlist:
         word = raw.strip().lower()
-        if word:
+        if not word:
+            continue
+        if basic_tokenize(word) == [(word, 0, len(word))]:
             normalized.setdefault(word)
+        else:
+            rejected.setdefault(word)
+    if rejected:
+        logger.info(
+            "%d curated words are not single words after basic tokenization; "
+            "rejected: %s", len(rejected), ", ".join(map(repr, rejected)),
+        )
     novel: list[str] = []
     for word in normalized:
         if word in vocab:

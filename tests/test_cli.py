@@ -323,7 +323,20 @@ class TestStartupImports:
         )
         assert loaded == ["False", "False", "False"]
 
+    def test_version_loads_no_numpy(self):
+        loaded = self.run_python(
+            "import sys\n"
+            "from phenotag.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print('numpy' in sys.modules)"
+        )
+        assert loaded[-1] == "False"
+
     def test_data_commands_skip_encoder_and_scipy_stats(self, tmp_path):
+        # aggregate's t critical value needs scipy.special, so numpy too
         loaded = self.run_python(
             "import sys\n"
             "from phenotag.cli import main\n"
@@ -336,10 +349,11 @@ class TestStartupImports:
             "    ['coverage', '--corpus', c, '--vocab', d + '/v.txt'],\n"
             "    ['evaluate', '--gold', c, '--pred', c, '--out', d + '/r.tsv'],\n"
             "    ['errors', '--gold', c, '--pred', c],\n"
-            "    ['aggregate', '--group', f'g={d}/r.json,{d}/r.json',\n"
-            "     '--out', d + '/agg.tsv'],\n"
             "):\n"
             "    assert main(argv) == 0, argv\n"
-            "print('phenotag.encoder' in sys.modules, 'scipy.stats' in sys.modules)"
+            "numpy = 'numpy' in sys.modules\n"
+            "assert main(['aggregate', '--group', f'g={d}/r.json,{d}/r.json',\n"
+            "             '--out', d + '/agg.tsv']) == 0\n"
+            "print(numpy, 'phenotag.encoder' in sys.modules, 'scipy.stats' in sys.modules)"
         )
-        assert loaded[-2:] == ["False", "False"]
+        assert loaded[-3:] == ["False", "False", "False"]

@@ -129,6 +129,17 @@ class TestExpandCurated:
         assert len(expanded.rewritten_ids) == 3
         assert caplog.text.count("skipped") == 2
 
+    def test_words_split_by_basic_tokenize_rejected(self, caplog):
+        import logging
+
+        vocab = make_vocab(placeholders=5)
+        words = ["heart failure", "o'brien", "er-positive", "HER2", "t2.5"]
+        with caplog.at_level(logging.INFO):
+            expanded = expand_curated(vocab, words)
+        assert [expanded.tokens[i] for i in expanded.rewritten_ids] == [
+            "er-positive", "her2", "t2.5"]
+        assert "2 curated words are not single words" in caplog.text
+
     def test_over_budget(self):
         vocab = make_vocab(placeholders=2)
         with pytest.raises(CapacityError):
