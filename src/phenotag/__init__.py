@@ -16,7 +16,6 @@ from .corpus import (
     corpus_stats,
     decode_bio,
     encode_bio,
-    export_conll,
     load_corpus,
     save_corpus,
     split_corpus,
@@ -27,7 +26,6 @@ from .tokenizer import (
     TokenizedText,
     Vocabulary,
     basic_tokenize,
-    encode_for_model,
     load_vocab,
     save_vocab,
     tokenize,

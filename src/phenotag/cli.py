@@ -293,7 +293,6 @@ def cmd_finetune(args) -> int:
     corpus = load_corpus(args.corpus)
     ckpt = load_checkpoint(args.ckpt)
     hyper = FinetuneConfig(
-        max_len=args.max_len,
         batch_size=args.batch_size,
         epochs=args.epochs,
         lr=args.lr,
@@ -565,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", default="default")
-    p.add_argument("--max-len", type=int, default=128)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=4e-3)

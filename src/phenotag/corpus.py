@@ -2,8 +2,9 @@
 
 Documents carry character-offset standoff annotations over eight phenotype
 labels. The BIO codec aligns those annotations with a subword tokenization
-(labels live on word-initial pieces; continuations and special tokens are
-ignored) and decodes tag sequences back into character spans.
+(labels live on word-initial pieces; continuations are ignored) and decodes
+tag sequences back into character spans. ``encode_corpus`` is the one place
+where text becomes model ids.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .atomic import atomic_write
 from .errors import ConfigurationError, ParseError, ValidationError
-from .tokenizer import TokenizedText, basic_tokenize
+from .tokenizer import TokenizedText, Vocabulary, basic_tokenize, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -163,6 +164,37 @@ def split_sentences(text: str) -> list[tuple[str, int]]:
     return sentences
 
 
+class EncodedSentence(NamedTuple):
+    """One non-empty sentence as model input, without [CLS]/[SEP].
+
+    ``doc`` indexes the document list; ``offset`` and ``length`` place the
+    sentence in that document's text; ``tokens`` carries offsets relative to
+    the sentence; ``ids`` are the vocabulary ids of ``tokens.pieces``.
+    """
+
+    doc: int
+    offset: int
+    length: int
+    tokens: TokenizedText
+    ids: list[int]
+
+
+def encode_corpus(
+    docs: Sequence[Document], vocab: Vocabulary
+) -> Iterator[EncodedSentence]:
+    """Split every document into sentences, tokenize them, and look up ids.
+
+    Sentences are produced one at a time, so a caller that keeps only the ids
+    never holds the whole corpus's tokenizations.
+    """
+    for d, doc in enumerate(docs):
+        for sent, off in split_sentences(doc.text):
+            tk = tokenize(sent, vocab)
+            if len(tk):
+                ids = [vocab.id_of(p) for p in tk.pieces]
+                yield EncodedSentence(d, off, len(sent), tk, ids)
+
+
 @dataclass(frozen=True)
 class LabelStats:
     total_mentions: int
@@ -177,10 +209,7 @@ class CorpusStats:
     per_label: dict[EntityLabel, LabelStats]
 
 
-def corpus_stats(
-    corpus: Sequence[Document],
-    sentence_splitter: Callable[[str], list[tuple[str, int]]] = split_sentences,
-) -> CorpusStats:
+def corpus_stats(corpus: Sequence[Document]) -> CorpusStats:
     """Count documents, sentences, word-level tokens, and entity mentions.
 
     Unique surface forms are computed on lowercased entity text.
@@ -190,7 +219,7 @@ def corpus_stats(
     totals: Counter[EntityLabel] = Counter()
     forms: dict[EntityLabel, set[str]] = {label: set() for label in LABELS}
     for doc in corpus:
-        n_sentences += len(sentence_splitter(doc.text))
+        n_sentences += len(split_sentences(doc.text))
         n_tokens += len(basic_tokenize(doc.text))
         for span in doc.entities:
             totals[span.label] += 1
@@ -233,22 +262,17 @@ class TagSequence:
 
 
 def encode_bio(
-    tokenized: TokenizedText,
-    entities: Sequence[EntitySpan],
-    policy: str = "expand",
+    tokenized: TokenizedText, entities: Sequence[EntitySpan]
 ) -> TagSequence:
     """Align entity spans to a tokenization as BIO tags over pieces.
 
     The first subword of an entity's first word gets B-label, first subwords
-    of its remaining words get I-label; continuation subwords and special
-    tokens get IGNORE; every other word-initial subword gets O.
+    of its remaining words get I-label; continuation subwords get IGNORE;
+    every other word-initial subword gets O.
 
-    An entity boundary falling strictly inside a word is resolved per
-    ``policy``: "expand" widens the span to the enclosing word(s) and logs a
-    warning; "strict" raises ValidationError.
+    An entity boundary falling strictly inside a word widens the span to the
+    enclosing word(s) and logs a warning.
     """
-    if policy not in ("expand", "strict"):
-        raise ConfigurationError(f"unknown alignment policy {policy!r}")
     ranges = tokenized.word_ranges()
     word_tags: dict[int, str] = {}
     for span in sorted(entities, key=lambda s: (s.start_char, s.end_char)):
@@ -266,11 +290,6 @@ def encode_bio(
         words.sort()
         first, last = words[0], words[-1]
         if span.start_char > ranges[first][0] or span.end_char < ranges[last][1]:
-            if policy == "strict":
-                raise ValidationError(
-                    f"entity ({span.start_char}, {span.end_char}, "
-                    f"{span.label.value}) splits a word"
-                )
             logger.warning(
                 "entity (%d, %d, %s) splits a word; expanded to (%d, %d)",
                 span.start_char, span.end_char, span.label.value,
@@ -285,25 +304,21 @@ def encode_bio(
         word_tags[first] = f"B-{span.label.value}"
         for w in words[1:]:
             word_tags[w] = f"I-{span.label.value}"
-    tags = []
-    for i in range(len(tokenized)):
-        if tokenized.is_special(i) or tokenized.is_continuation[i]:
-            tags.append(IGNORE_TAG)
-        else:
-            tags.append(word_tags.get(tokenized.word_index[i], OUTSIDE_TAG))
+    tags = (
+        IGNORE_TAG if cont else word_tags.get(w, OUTSIDE_TAG)
+        for w, cont in zip(tokenized.word_index, tokenized.is_continuation)
+    )
     return TagSequence(tuple(tags))
 
 
 def decode_bio(
-    tags: TagSequence | Sequence[str],
-    tokenized: TokenizedText,
-    strict: bool = False,
+    tags: TagSequence | Sequence[str], tokenized: TokenizedText
 ) -> list[EntitySpan]:
     """Turn a tag sequence back into character spans.
 
     Maximal runs of B-X (I-X)* over word-initial positions become one span
     covering [start of first word, end of last word]. An orphan I-X (no open
-    run of the same label) is repaired to B-X, or rejected when ``strict``.
+    run of the same label) is repaired to B-X.
     """
     tag_list = list(tags)
     if len(tag_list) != len(tokenized):
@@ -322,27 +337,20 @@ def decode_bio(
             spans.append(EntitySpan(open_start, open_end, open_label))
             open_label = None
 
-    for i, tag in enumerate(tag_list):
-        if tokenized.is_special(i) or tokenized.is_continuation[i]:
+    for tag, w, cont in zip(tag_list, tokenized.word_index, tokenized.is_continuation):
+        if cont:
             continue
-        w = tokenized.word_index[i]
         ws, we = ranges[w]
         if tag == IGNORE_TAG or tag == OUTSIDE_TAG:
             close()
             continue
         prefix, _, name = tag.partition("-")
         label = EntityLabel(name)
-        if prefix == "B":
+        if prefix == "I" and open_label == label:
+            open_end = we
+        elif prefix in ("B", "I"):
             close()
             open_label, open_start, open_end = label, ws, we
-        elif prefix == "I":
-            if open_label == label:
-                open_end = we
-            else:
-                if strict:
-                    raise ValidationError(f"orphan tag {tag!r} at piece {i}")
-                close()
-                open_label, open_start, open_end = label, ws, we
         else:
             raise ValidationError(f"unknown tag {tag!r}")
     close()
@@ -353,7 +361,7 @@ def decode_bio(
 def word_level_tags(
     words: Sequence[tuple[str, int, int]], entities: Sequence[EntitySpan]
 ) -> list[str]:
-    """BIO tags over whole words (used for CoNLL export and token labels)."""
+    """BIO tags over whole words (used for token labels)."""
     tags = [OUTSIDE_TAG] * len(words)
     for span in sorted(entities, key=lambda s: (s.start_char, s.end_char)):
         hit = [
@@ -367,18 +375,6 @@ def word_level_tags(
         for i in hit[1:]:
             tags[i] = f"I-{span.label.value}"
     return tags
-
-
-def export_conll(corpus: Sequence[Document]) -> str:
-    """CoNLL-style export: token TAB tag, blank line between sentences."""
-    blocks: list[str] = []
-    for doc in corpus:
-        for sent, off in split_sentences(doc.text):
-            words = [(w, s + off, e + off) for w, s, e in basic_tokenize(sent)]
-            tags = word_level_tags(words, doc.entities)
-            lines = [f"{w}\t{t}" for (w, _, _), t in zip(words, tags)]
-            blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
 
 
 def token_labels(doc: Document) -> list[str]:

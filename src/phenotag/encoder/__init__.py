@@ -38,7 +38,6 @@ __all__ = [
     "export_embeddings",
     "finetune_ner",
     "format_trace",
-    "forward",
     "forward_hidden",
     "grad_check",
     "init_model",
@@ -50,13 +49,3 @@ __all__ = [
     "resize_for_vocab",
     "save_checkpoint",
 ]
-
-import numpy as _np
-
-
-def forward(ckpt: Checkpoint, ids, attention_mask) -> _np.ndarray:
-    """Hidden states [seq_len, d_model] for a single id sequence."""
-    ids2 = _np.asarray(ids, dtype=_np.int64)[None, :]
-    mask2 = _np.asarray(attention_mask, dtype=_np.float64)[None, :]
-    hidden, _ = forward_hidden(ckpt.params, ckpt.config, ids2, mask2)
-    return hidden[0]

@@ -90,6 +90,10 @@ def grad_check(
         )
     if cfg.dropout_rate > 0:
         raise ConfigurationError("grad_check requires dropout_rate = 0")
+    if coords_per_tensor < 1:
+        raise ConfigurationError(
+            f"coords_per_tensor must be >= 1, got {coords_per_tensor}"
+        )
     rng = np.random.default_rng(seed)
     params = init_params(cfg)
 

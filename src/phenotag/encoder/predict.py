@@ -6,8 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Document, EntitySpan, TAGS, decode_bio, split_sentences
-from ..tokenizer import Vocabulary, tokenize
+from ..corpus import Document, EntitySpan, TAGS, decode_bio, encode_corpus
+from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
 from .model import tag_logits
 
@@ -36,17 +36,13 @@ def predict(
     budget = ckpt.config.max_positions - 2
     stride = max(1, budget // 2)
     spans: list[EntitySpan] = []
-    for sent, off in split_sentences(document.text):
-        tk = tokenize(sent, vocab)
-        n = len(tk)
-        if n == 0:
-            continue
-        piece_ids = [vocab.id_of(p) for p in tk.pieces]
+    for sent in encode_corpus([document], vocab):
+        n = len(sent.ids)
         best_dist = [float("inf")] * n
         tag_of = [0] * n
         for ws, we in _windows(n, budget, stride):
             ids = np.array(
-                [[vocab.cls_id] + piece_ids[ws:we] + [vocab.sep_id]], dtype=np.int64
+                [[vocab.cls_id] + sent.ids[ws:we] + [vocab.sep_id]], dtype=np.int64
             )
             mask = np.ones_like(ids, dtype=np.float64)
             logits = tag_logits(ckpt.params, ckpt.config, ids, mask)[0]
@@ -58,10 +54,10 @@ def predict(
                     best_dist[p] = dist
                     tag_of[p] = int(window_tags[p - ws])
         tags = [TAGS[t] for t in tag_of]
-        for span in decode_bio(tags, tk):
-            spans.append(
-                EntitySpan(span.start_char + off, span.end_char + off, span.label)
-            )
+        for span in decode_bio(tags, sent.tokens):
+            spans.append(EntitySpan(
+                span.start_char + sent.offset, span.end_char + sent.offset, span.label
+            ))
     spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
     return spans
 

@@ -17,13 +17,14 @@ import numpy as np
 from ..corpus import (
     Document,
     EntitySpan,
+    IGNORE_ID,
     IGNORE_TAG,
     TAG_TO_ID,
     encode_bio,
-    split_sentences,
+    encode_corpus,
 )
 from ..errors import ConfigurationError, TrainingError, ValidationError
-from ..tokenizer import Vocabulary, tokenize
+from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
 from .model import forward_hidden, mlm_loss_and_grads, ner_loss_and_grads
 
@@ -99,22 +100,25 @@ class Adam:
             params[k] -= upd
 
 
-def sentence_id_pool(
-    corpus: Sequence[Document], vocab: Vocabulary, max_len: int
+def _bracket(seq: Sequence[int], first: int, last: int, max_positions: int) -> list[int]:
+    """``first`` + ``seq`` cut to fit ``max_positions`` + ``last``: one model row."""
+    return [first, *seq[: max_positions - 2], last]
+
+
+def _check_counts(batch_size: int, name: str, count: int) -> None:
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if count < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {count}")
+
+
+def _sentence_ids(
+    corpus: Sequence[Document], vocab: Vocabulary, max_positions: int
 ) -> list[list[int]]:
-    """Unpadded [CLS] + piece ids + [SEP] per sentence of the corpus."""
-    pool: list[list[int]] = []
-    keep = max_len - 2
-    for doc in corpus:
-        for sent, _ in split_sentences(doc.text):
-            tk = tokenize(sent, vocab)
-            if len(tk) == 0:
-                continue
-            ids = [vocab.cls_id]
-            ids.extend(vocab.id_of(p) for p in tk.pieces[:keep])
-            ids.append(vocab.sep_id)
-            pool.append(ids)
-    return pool
+    return [
+        _bracket(s.ids, vocab.cls_id, vocab.sep_id, max_positions)
+        for s in encode_corpus(corpus, vocab)
+    ]
 
 
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -181,12 +185,13 @@ def pretrain_mlm(
     aborts with a diagnostic naming the step.
     """
     masking.validate()
+    _check_counts(batch_size, "steps", steps)
     ckpt.check_vocab(vocab)
     out = ckpt.copy()
     out.vocab_digest = vocab.digest()
     if steps == 0:
         return out, []
-    pool = sentence_id_pool(corpus, vocab, ckpt.config.max_positions)
+    pool = _sentence_ids(corpus, vocab, ckpt.config.max_positions)
     if not pool:
         raise ValidationError("pre-training corpus contains no sentences")
     rng = np.random.default_rng(seed if seed is not None else ckpt.config.seed)
@@ -226,7 +231,7 @@ def masked_accuracy(
     """Masked-token accuracy of a trained model over freshly masked sentences."""
     masking.validate()
     ckpt.check_vocab(vocab)
-    pool = sentence_id_pool(corpus, vocab, ckpt.config.max_positions)
+    pool = _sentence_ids(corpus, vocab, ckpt.config.max_positions)
     if not pool:
         raise ValidationError("corpus contains no sentences")
     rng = np.random.default_rng(seed)
@@ -251,44 +256,36 @@ def masked_accuracy(
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Fine-tuning hyperparameters; the defaults echo (128, 32, 10)."""
+    """Fine-tuning hyperparameters; sentences are cut to ``max_positions``."""
 
-    max_len: int = 128
     batch_size: int = 32
     epochs: int = 10
     lr: float = 4e-3
     seed: int = 0
 
 
-def build_ner_examples(
-    docs: Sequence[Document], vocab: Vocabulary, max_len: int
+def _ner_examples(
+    docs: Sequence[Document], vocab: Vocabulary, max_positions: int
 ) -> list[tuple[list[int], list[int]]]:
-    """Per-sentence (ids, tag ids) pairs; tag id -1 marks IGNORE positions."""
+    """Per-sentence (ids, tag ids) rows; IGNORE_ID marks positions without loss."""
     examples: list[tuple[list[int], list[int]]] = []
-    keep = max_len - 2
-    for doc in docs:
-        for sent, off in split_sentences(doc.text):
-            tk = tokenize(sent, vocab)
-            if len(tk) == 0:
-                continue
-            end = off + len(sent)
-            local = [
-                EntitySpan(
-                    max(s.start_char - off, 0),
-                    min(s.end_char - off, len(sent)),
-                    s.label,
-                )
-                for s in doc.entities
-                if s.start_char < end and s.end_char > off
-            ]
-            tags = encode_bio(tk, local)
-            tag_ids = [
-                -1 if t == IGNORE_TAG else TAG_TO_ID[t] for t in tags
-            ]
-            ids = [vocab.cls_id]
-            ids.extend(vocab.id_of(p) for p in tk.pieces[:keep])
-            ids.append(vocab.sep_id)
-            examples.append((ids, [-1] + tag_ids[:keep] + [-1]))
+    for sent in encode_corpus(docs, vocab):
+        off, end = sent.offset, sent.offset + sent.length
+        local = [
+            EntitySpan(
+                max(s.start_char - off, 0), min(s.end_char - off, sent.length), s.label
+            )
+            for s in docs[sent.doc].entities
+            if s.start_char < end and s.end_char > off
+        ]
+        tag_ids = [
+            IGNORE_ID if t == IGNORE_TAG else TAG_TO_ID[t]
+            for t in encode_bio(sent.tokens, local)
+        ]
+        examples.append((
+            _bracket(sent.ids, vocab.cls_id, vocab.sep_id, max_positions),
+            _bracket(tag_ids, IGNORE_ID, IGNORE_ID, max_positions),
+        ))
     return examples
 
 
@@ -304,8 +301,9 @@ def finetune_ner(
     Loss is per-token cross entropy over the tag set with IGNORE positions
     excluded. The vocabulary must match the checkpoint's digest.
     """
+    _check_counts(hyper.batch_size, "epochs", hyper.epochs)
     ckpt.check_vocab(vocab)
-    examples = build_ner_examples(train_docs, vocab, hyper.max_len)
+    examples = _ner_examples(train_docs, vocab, ckpt.config.max_positions)
     if not examples:
         raise ValidationError("no training sentences after encoding")
     opt = optimizer if optimizer is not None else OptimizerConfig(lr=hyper.lr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .corpus import Document, EntityLabel, EntitySpan, LABELS
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 
 MODES = ("exact", "lenient")
 
@@ -225,6 +225,8 @@ def aggregate_values(values: Sequence[float], confidence: float = 0.95) -> Metri
     """
     from scipy.special import stdtrit
 
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     n = len(values)
     if n == 0:
         raise ValidationError("cannot aggregate an empty list")

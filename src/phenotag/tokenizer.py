@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atomic import atomic_write
-from .errors import ConfigurationError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 PAD = "[PAD]"
 UNK = "[UNK]"
@@ -31,6 +31,9 @@ PLACEHOLDER_PATTERN = re.compile(r"\[unused(\d+)\]\Z")
 
 # Hard cap on replaceable slots a vocabulary may carry.
 MAX_PLACEHOLDER_SLOTS = 997
+
+# Words longer than this map to [UNK] without a lookup.
+MAX_WORD_CHARS = 200
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,6 @@ class Vocabulary:
 
     def id_of(self, token: str) -> int:
         return self._index[token]
-
-    def get(self, token: str, default: int | None = None) -> int | None:
-        return self._index.get(token, default)
 
     @property
     def pad_id(self) -> int:
@@ -190,17 +190,17 @@ def basic_tokenize(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
-def wordpiece(word: str, vocab: Vocabulary, max_word_chars: int = 200) -> list[str]:
+def wordpiece(word: str, vocab: Vocabulary) -> list[str]:
     """Segment one lowercased word by greedy longest-match-first lookup.
 
     At each position the longest prefix of the remaining suffix that is in
     the vocabulary is taken; non-initial pieces carry the "##" marker. If a
-    position has no match, or the word exceeds ``max_word_chars``, the whole
+    position has no match, or the word exceeds ``MAX_WORD_CHARS``, the whole
     word maps to [UNK].
     """
     if not word:
         raise ValidationError("cannot tokenize an empty word")
-    if len(word) > max_word_chars:
+    if len(word) > MAX_WORD_CHARS:
         return [UNK]
     pieces: list[str] = []
     start = 0
@@ -227,10 +227,9 @@ def wordpiece(word: str, vocab: Vocabulary, max_word_chars: int = 200) -> list[s
 class TokenizedText:
     """Subword pieces with offsets and word bookkeeping.
 
-    ``word_index`` maps each piece to the ordinal of its source word; special
-    tokens carry word index -1 and zero-width offsets. Continuation pieces
-    share their word's offsets restricted to their own characters; [UNK]
-    pieces span their whole word.
+    ``word_index`` maps each piece to the ordinal of its source word.
+    Continuation pieces share their word's offsets restricted to their own
+    characters; [UNK] pieces span their whole word.
     """
 
     pieces: tuple[str, ...]
@@ -250,30 +249,15 @@ class TokenizedText:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def is_special(self, i: int) -> bool:
-        return self.word_index[i] < 0
-
     def word_ranges(self) -> dict[int, tuple[int, int]]:
         """Character range covered by each word ordinal."""
         ranges: dict[int, tuple[int, int]] = {}
         for (s, e), w in zip(self.offsets, self.word_index):
-            if w < 0:
-                continue
             if w in ranges:
                 ranges[w] = (min(ranges[w][0], s), max(ranges[w][1], e))
             else:
                 ranges[w] = (s, e)
         return ranges
-
-    def with_special_tokens(self) -> "TokenizedText":
-        """Wrap with [CLS]/[SEP] markers (zero-width offsets, word index -1)."""
-        end = self.offsets[-1][1] if self.offsets else 0
-        return TokenizedText(
-            pieces=(CLS,) + self.pieces + (SEP,),
-            offsets=((0, 0),) + self.offsets + ((end, end),),
-            word_index=(-1,) + self.word_index + (-1,),
-            is_continuation=(False,) + self.is_continuation + (False,),
-        )
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenizedText:
@@ -303,24 +287,3 @@ def tokenize(text: str, vocab: Vocabulary) -> TokenizedText:
     return TokenizedText(
         tuple(pieces), tuple(offsets), tuple(word_index), tuple(is_continuation)
     )
-
-
-def encode_for_model(
-    tokenized: TokenizedText, vocab: Vocabulary, max_len: int = 128
-) -> tuple[list[int], list[int]]:
-    """Build a fixed-length id sequence: [CLS] + pieces + [SEP], then padding.
-
-    Pieces beyond ``max_len - 2`` are truncated. The attention mask is 1 on
-    real tokens (including [CLS]/[SEP]) and 0 on padding.
-    """
-    if max_len < 2:
-        raise ConfigurationError(f"max_len must be >= 2, got {max_len}")
-    if any(w < 0 for w in tokenized.word_index):
-        raise ValidationError("input already contains special tokens")
-    piece_ids = [vocab.id_of(p) for p in tokenized.pieces[: max_len - 2]]
-    ids = [vocab.cls_id] + piece_ids + [vocab.sep_id]
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    ids.extend([vocab.pad_id] * pad)
-    mask.extend([0] * pad)
-    return ids, mask

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import Document, EntityLabel, LABELS
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ConfigurationError, ValidationError
 from .tokenizer import MAX_PLACEHOLDER_SLOTS, Vocabulary, basic_tokenize
 
 logger = logging.getLogger(__name__)
@@ -93,6 +93,8 @@ def expand_frequency(vocab: Vocabulary, candidates: CandidateList, k: int) -> Vo
     Raises CapacityError when k exceeds the free placeholder budget. When the
     candidate list is shorter than k, all candidates are used.
     """
+    if k < 0:
+        raise ConfigurationError(f"k must be >= 0, got {k}")
     if k > len(vocab.placeholder_ids):
         raise CapacityError(
             f"requested {k} new words but only {len(vocab.placeholder_ids)} "

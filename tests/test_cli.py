@@ -149,6 +149,24 @@ class TestExitCodes:
         assert "bad.json: not a match report" in one_line_error(capsys)
         assert not (tmp_path / "a.tsv").exists()
 
+    @pytest.mark.parametrize("command, flag, value, name", [
+        ("pretrain", "--batch-size", "0", "batch_size"),
+        ("pretrain", "--batch-size", "-1", "batch_size"),
+        ("pretrain", "--steps", "-3", "steps"),
+        ("finetune", "--batch-size", "0", "batch_size"),
+        ("finetune", "--epochs", "-1", "epochs"),
+    ])
+    def test_bad_training_count_is_one_line_error(self, tiny_model, tmp_path, capsys,
+                                                  command, flag, value, name):
+        out = tmp_path / "out.ckpt"
+        source = (["--init-from"] if command == "pretrain" else ["--ckpt"])
+        code = run(command, *source, str(tiny_model["ckpt"]),
+                   "--corpus", tiny_model["train"], "--vocab", tiny_model["base"],
+                   flag, value, "--out", str(out))
+        assert code == 1
+        assert f"{name} must be" in one_line_error(capsys)
+        assert not out.exists()
+
 
 class TestOutputRoot:
     def test_env_var_anchors_relative_outputs(self, tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from phenotag.encoder import (
     ModelConfig,
     OptimizerConfig,
     export_embeddings,
-    forward,
     init_model,
     load_checkpoint,
     resize_for_vocab,
@@ -98,11 +97,6 @@ class TestForward:
         ids = np.zeros((1, TINY.max_positions + 1), dtype=np.int64)
         with pytest.raises(ConfigurationError, match="max_positions"):
             forward_hidden(ck.params, TINY, ids, np.ones_like(ids, dtype=float))
-
-    def test_public_single_sequence_wrapper(self):
-        ck = init_model(TINY)
-        h = forward(ck, [1, 2, 3], [1, 1, 1])
-        assert h.shape == (3, TINY.d_model)
 
     def test_inference_deterministic(self):
         ck = init_model(ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.3}))

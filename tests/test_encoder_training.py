@@ -7,7 +7,14 @@ import pytest
 
 from conftest import child_env, explode_sentences, make_vocab
 from phenotag.basevocab import default_vocabulary
-from phenotag.corpus import Document, EntitySpan, EntityLabel, save_corpus
+from phenotag.corpus import (
+    IGNORE_ID,
+    TAG_TO_ID,
+    Document,
+    EntityLabel,
+    EntitySpan,
+    save_corpus,
+)
 from phenotag.encoder import (
     Adam,
     FinetuneConfig,
@@ -23,12 +30,14 @@ from phenotag.encoder import (
     pretrain_mlm,
     save_checkpoint,
 )
+from phenotag.encoder import training
 from phenotag.encoder.model import init_params, ner_loss_and_grads
 from phenotag.errors import ConfigurationError, ValidationError
 from phenotag.synthesis import generate_synthetic
-from phenotag.tokenizer import Vocabulary
+from phenotag.tokenizer import Vocabulary, tokenize
 
 CL = EntityLabel.CANCER_LATERALITY
+HRT = EntityLabel.HORMONE_RECEPTOR_TYPE
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +135,19 @@ class TestFinetune:
 
     def test_defaults_echo_128_32_10(self):
         hyper = FinetuneConfig()
-        assert (hyper.max_len, hyper.batch_size, hyper.epochs) == (128, 32, 10)
+        max_positions = ModelConfig(vocab_size=1).max_positions
+        assert (max_positions, hyper.batch_size, hyper.epochs) == (128, 32, 10)
+
+    def test_sentence_longer_than_16_positions_trains(self):
+        vocab = default_vocabulary()
+        config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
+                             d_ff=32, max_positions=16, seed=0)
+        text = " ".join(["her2"] * 20)
+        assert len(tokenize(text, vocab)) == 40
+        docs = [Document("long", text, [EntitySpan(0, 4, HRT)])]
+        _, records = finetune_ner(init_model(config, vocab), docs, vocab,
+                                  FinetuneConfig(epochs=1))
+        assert len(records) == 1 and np.isfinite(records[0].loss)
 
     def test_zero_epochs_leaves_params_and_gives_chance_predictions(self, small_setup):
         vocab, docs, ck = small_setup
@@ -153,6 +174,49 @@ class TestFinetune:
         lines = text.strip().splitlines()
         assert lines[0] == "step,loss,accuracy"
         assert len(lines) == len(records) + 1
+
+
+class TestSentenceCut:
+    """A sentence over the position budget becomes one max_positions-long row:
+    [CLS], its first max_positions - 2 pieces, [SEP]."""
+
+    @pytest.fixture(scope="class")
+    def long_setup(self):
+        vocab = default_vocabulary()
+        config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
+                             d_ff=32, max_positions=128, seed=0)
+        docs = [Document("long", " ".join(["her"] * 200), [EntitySpan(0, 3, HRT)])]
+        return vocab, init_model(config, vocab), docs
+
+    def spy(self, monkeypatch, name):
+        seen = []
+        real = getattr(training, name)
+
+        def record(params, config, ids, mask, *rest):
+            seen.append((ids, mask, *rest))
+            return real(params, config, ids, mask, *rest)
+
+        monkeypatch.setattr(training, name, record)
+        return seen
+
+    def test_pretrain_cuts_to_126_pieces(self, long_setup, monkeypatch):
+        vocab, ck, docs = long_setup
+        seen = self.spy(monkeypatch, "mlm_loss_and_grads")
+        pretrain_mlm(ck, docs, vocab, steps=1, batch_size=1, seed=0)
+        ids, mask = seen[0][:2]
+        assert ids.shape == (1, 128) and mask.sum() == 128
+        assert ids[0, 0] == vocab.cls_id and ids[0, -1] == vocab.sep_id
+
+    def test_finetune_cuts_ids_and_tags_to_126_pieces(self, long_setup, monkeypatch):
+        vocab, ck, docs = long_setup
+        seen = self.spy(monkeypatch, "ner_loss_and_grads")
+        finetune_ner(ck, docs, vocab, FinetuneConfig(epochs=1, batch_size=1))
+        ids, mask, tags = seen[0][:3]
+        her = vocab.id_of("her")
+        assert ids[0].tolist() == [vocab.cls_id] + [her] * 126 + [vocab.sep_id]
+        assert mask.sum() == 128
+        b_hrt, o = TAG_TO_ID["B-HormoneReceptorType"], TAG_TO_ID["O"]
+        assert tags[0].tolist() == [IGNORE_ID, b_hrt] + [o] * 125 + [IGNORE_ID]
 
 
 class TestPredict:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phenotag.corpus import Document, EntityLabel, EntitySpan, LABELS
-from phenotag.errors import ValidationError
+from phenotag.errors import ConfigurationError, ValidationError
 from phenotag.evaluation import (
     MatchReport,
     aggregate_runs,
@@ -209,6 +209,11 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_runs([])
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ConfigurationError, match="confidence"):
+            aggregate_values([0.8, 0.9], confidence=confidence)
 
     def test_ci_brackets_mean(self):
         rng = random.Random(5)

@@ -31,6 +31,11 @@ class TestGradCheck:
         with pytest.raises(ConfigurationError, match="tiny"):
             grad_check(ModelConfig(vocab_size=50, n_layers=3, d_model=16, n_heads=2, d_ff=32))
 
+    @pytest.mark.parametrize("coords", [0, -1])
+    def test_no_coordinates_rejected(self, coords):
+        with pytest.raises(ConfigurationError, match="coords_per_tensor"):
+            grad_check(ZERO_LAYER, coords_per_tensor=coords)
+
     def test_corrupted_gradient_detected(self, monkeypatch):
         # sensitivity control: a broken attention gradient must blow the check
         real = gradcheck_module.mlm_loss_and_grads

@@ -1,0 +1,50 @@
+"""Guards on the shape of the source tree, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import phenotag
+
+PACKAGE = Path(phenotag.__file__).resolve().parent
+
+
+class _CallSites(ast.NodeVisitor):
+    """Records the dotted scope of every call to one function name."""
+
+    def __init__(self, module: str, name: str):
+        self.scope = [module]
+        self.name = name
+        self.found: set[str] = set()
+
+    def visit_scope(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == self.name:
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def call_sites(name: str) -> set[str]:
+    found: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        visitor = _CallSites(module, name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= visitor.found
+    return found
+
+
+def test_text_becomes_ids_in_one_place():
+    # Training, evaluation and prediction all go through encode_corpus; only
+    # the tokenize command shows raw pieces.
+    assert call_sites("tokenize") == {
+        "phenotag.corpus.encode_corpus",
+        "phenotag.cli.cmd_tokenize",
+    }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_vocab
-from phenotag.errors import ConfigurationError, ParseError, ValidationError
+from phenotag.errors import ParseError, ValidationError
 from phenotag.tokenizer import (
     CLS,
     MASK,
@@ -15,7 +15,6 @@ from phenotag.tokenizer import (
     TokenizedText,
     Vocabulary,
     basic_tokenize,
-    encode_for_model,
     load_vocab,
     save_vocab,
     tokenize,
@@ -235,49 +234,6 @@ class TestTokenize:
         v = make_vocab("her", "##2")
         tk = tokenize("her2 her", v)
         assert tk.word_ranges() == {0: (0, 4), 1: (5, 8)}
-
-
-class TestEncodeForModel:
-    def test_three_pieces(self, base_vocab):
-        tk = tokenize("her2 positive", base_vocab)
-        assert len(tk) == 3
-        ids, mask = encode_for_model(tk, base_vocab, max_len=128)
-        assert len(ids) == 128 and len(mask) == 128
-        assert sum(mask) == 5
-        assert ids[0] == base_vocab.cls_id and ids[4] == base_vocab.sep_id
-        assert ids[5] == base_vocab.pad_id
-
-    def test_truncation(self, base_vocab):
-        tk = tokenize(" ".join(["her"] * 200), base_vocab)
-        ids, mask = encode_for_model(tk, base_vocab, max_len=128)
-        assert len(ids) == 128
-        assert sum(mask) == 128  # 126 pieces + CLS + SEP
-        her = base_vocab.id_of("her")
-        assert sum(1 for i in ids if i == her) == 126
-
-    def test_empty_input(self, base_vocab):
-        tk = tokenize("", base_vocab)
-        ids, mask = encode_for_model(tk, base_vocab, max_len=8)
-        assert ids[:2] == [base_vocab.cls_id, base_vocab.sep_id]
-        assert sum(mask) == 2 and len(ids) == 8
-
-    def test_output_length_always_max_len(self, base_vocab):
-        rng = np.random.default_rng(7)
-        words = ["her2", "positive", "1.0", "cm", "dcis"]
-        for _ in range(50):
-            n = int(rng.integers(0, 40))
-            text = " ".join(rng.choice(words, size=n)) if n else ""
-            ids, mask = encode_for_model(tokenize(text, base_vocab), base_vocab, 32)
-            assert len(ids) == 32 and len(mask) == 32
-
-    def test_max_len_validation(self, base_vocab):
-        with pytest.raises(ConfigurationError):
-            encode_for_model(tokenize("x", base_vocab), base_vocab, max_len=1)
-
-    def test_rejects_specials_in_input(self, base_vocab):
-        tk = tokenize("her2", base_vocab).with_special_tokens()
-        with pytest.raises(ValidationError):
-            encode_for_model(tk, base_vocab)
 
 
 class TestVocabGrowthMonotonicity:

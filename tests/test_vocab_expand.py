@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_vocab
 from phenotag.corpus import Document, EntityLabel, EntitySpan
-from phenotag.errors import CapacityError, ValidationError
+from phenotag.errors import CapacityError, ConfigurationError, ValidationError
 from phenotag.vocab_expand import (
     CandidateFilters,
     CandidateList,
@@ -79,6 +79,12 @@ class TestExpandFrequency:
     def test_zero_is_identity(self, base_vocab):
         expanded = expand_frequency(base_vocab, CandidateList(()), k=0)
         assert expanded.tokens == base_vocab.tokens
+
+    def test_negative_k_rejected(self, base_vocab, corpus200):
+        candidates = extract_candidates(corpus200[:30], base_vocab, CandidateFilters())
+        assert len(candidates.words()) > 1
+        with pytest.raises(ConfigurationError, match="k must be >= 0"):
+            expand_frequency(base_vocab, candidates, k=-1)
 
     def test_over_budget_rejected(self):
         vocab = make_vocab(placeholders=997)
