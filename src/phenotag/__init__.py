@@ -21,7 +21,7 @@ from .corpus import (
     split_corpus,
     split_sentences,
 )
-from .synthesis import PhraseInventory, default_inventory, generate_synthetic
+from .synthesis import generate_synthetic
 from .tokenizer import (
     TokenizedText,
     Vocabulary,

@@ -91,8 +91,8 @@ _WORDS = (
 )
 
 
-def base_token_list(n_placeholders: int = MAX_PLACEHOLDER_SLOTS) -> tuple[str, ...]:
-    """Assemble the ordered token list of the default base vocabulary."""
+def default_vocabulary() -> Vocabulary:
+    """The shipped base vocabulary with a full placeholder budget."""
     tokens: list[str] = list(SPECIAL_TOKENS)
     tokens.extend(_PUNCTUATION)
     tokens.extend(_DIGITS)
@@ -102,10 +102,5 @@ def base_token_list(n_placeholders: int = MAX_PLACEHOLDER_SLOTS) -> tuple[str, .
     tokens.extend("##" + c for c in _DIGITS + _LETTERS + (".", "-"))
     tokens.extend(_SUFFIX_PIECES)
     tokens.extend(dict.fromkeys(_WORDS))
-    tokens.extend(f"[unused{i}]" for i in range(n_placeholders))
-    return tuple(dict.fromkeys(tokens))
-
-
-def default_vocabulary() -> Vocabulary:
-    """The shipped base vocabulary with a full placeholder budget."""
-    return Vocabulary(base_token_list())
+    tokens.extend(f"[unused{i}]" for i in range(MAX_PLACEHOLDER_SLOTS))
+    return Vocabulary(tuple(dict.fromkeys(tokens)))

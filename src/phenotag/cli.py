@@ -214,15 +214,12 @@ def _model_config(args, vocab_size: int):
         n_heads=args.n_heads,
         d_ff=args.d_ff,
         max_positions=args.max_positions,
-        dropout_rate=args.dropout,
         seed=args.seed,
     )
 
 
 def cmd_pretrain(args) -> int:
     from .encoder import (
-        MaskingConfig,
-        OptimizerConfig,
         format_trace,
         init_model,
         load_checkpoint,
@@ -236,15 +233,13 @@ def cmd_pretrain(args) -> int:
         ckpt = load_checkpoint(args.init_from)
     else:
         ckpt = init_model(_model_config(args, len(vocab)), vocab)
-    masking = MaskingConfig(mask_frac=args.mask_frac)
-    optimizer = OptimizerConfig(lr=args.lr)
     trained, records = pretrain_mlm(
         ckpt,
         corpus,
         vocab,
         steps=args.steps,
-        masking=masking,
-        optimizer=optimizer,
+        mask_frac=args.mask_frac,
+        lr=args.lr,
         batch_size=args.batch_size,
         seed=args.seed,
     )
@@ -269,13 +264,13 @@ def cmd_resize(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     old_vocab = _load_vocab_arg(args.old_vocab)
     new_vocab = _load_vocab_arg(args.new_vocab)
-    resized = resize_for_vocab(ckpt, old_vocab, new_vocab, args.policy)
+    resized = resize_for_vocab(ckpt, old_vocab, new_vocab)
     out = _out_path(args.out)
     save_checkpoint(resized, out)
     changed = sum(
         1 for a, b in zip(old_vocab.tokens, new_vocab.tokens) if a != b
     )
-    print(f"re-initialized {changed} embedding rows ({args.policy}); wrote {out}")
+    print(f"re-initialized {changed} embedding rows (subword-mean); wrote {out}")
     _echo_config(args, out)
     return 0
 
@@ -382,6 +377,8 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_tsne(args) -> int:
+    import csv
+
     from .encoder import export_embeddings, load_checkpoint
 
     vocab = _load_vocab_arg(args.vocab)
@@ -402,11 +399,12 @@ def cmd_tsne(args) -> int:
         iterations=args.iterations,
         seed=args.seed,
     )
-    lines = ["token,label,x,y"]
-    for token, (x, y) in zip(labels, coords):
-        lines.append(f"{token},{token_label[token]},{x:.6f},{y:.6f}")
     out = _out_path(args.out)
-    _write_text(out, "\n".join(lines) + "\n")
+    with atomic_write(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["token", "label", "x", "y"])
+        for token, (x, y) in zip(labels, coords):
+            writer.writerow([token, token_label[token], f"{x:.6f}", f"{y:.6f}"])
     print(
         f"projected {len(tokens)} tokens (KL {kl_trace[0]:.3f} -> "
         f"{kl_trace[-1]:.3f}); wrote {out}"
@@ -543,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-heads", type=int, default=4)
     p.add_argument("--d-ff", type=int, default=256)
     p.add_argument("--max-positions", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace")
     p.add_argument("--out", required=True)
@@ -553,10 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--old-vocab", required=True)
     p.add_argument("--new-vocab", required=True)
-    p.add_argument(
-        "--policy", choices=("subword-mean", "keep-slot-row", "random"),
-        default="subword-mean",
-    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_resize)
 

@@ -16,8 +16,6 @@ from .predict import predict, predict_corpus
 from .training import (
     Adam,
     FinetuneConfig,
-    MaskingConfig,
-    OptimizerConfig,
     TrainRecord,
     finetune_ner,
     format_trace,
@@ -31,9 +29,7 @@ __all__ = [
     "DEFAULT_TINY_CONFIG",
     "FinetuneConfig",
     "GradCheckResult",
-    "MaskingConfig",
     "ModelConfig",
-    "OptimizerConfig",
     "TrainRecord",
     "export_embeddings",
     "finetune_ner",

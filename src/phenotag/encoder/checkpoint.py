@@ -2,7 +2,7 @@
 embedding export.
 
 The on-disk format is a self-describing binary container: a JSON metadata
-block (config, vocabulary digest, step count, optimizer name) followed by
+block (config, vocabulary digest, step count) followed by
 named tensors stored as row-major little-endian float64.
 """
 
@@ -33,7 +33,6 @@ class Checkpoint:
     config: ModelConfig
     vocab_digest: str = ""
     step: int = 0
-    optimizer: str = "adam"
 
     def copy(self) -> "Checkpoint":
         return Checkpoint(
@@ -41,7 +40,6 @@ class Checkpoint:
             config=self.config,
             vocab_digest=self.vocab_digest,
             step=self.step,
-            optimizer=self.optimizer,
         )
 
     def validate_finite(self) -> None:
@@ -82,7 +80,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "config": ckpt.config.to_dict(),
         "vocab_digest": ckpt.vocab_digest,
         "step": ckpt.step,
-        "optimizer": ckpt.optimizer,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_write(path, binary=True) as fh:
@@ -132,7 +129,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         meta = json.loads(bytes(meta_bytes).decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
         vocab_digest, step = str(meta["vocab_digest"]), int(meta["step"])
-        optimizer = str(meta.get("optimizer", "adam"))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{path}: bad checkpoint metadata: {exc}") from None
     params: dict[str, np.ndarray] = {}
@@ -149,39 +145,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
     if pos != len(buf):
         raise ParseError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
-    ckpt = Checkpoint(
-        params=params,
-        config=config,
-        vocab_digest=vocab_digest,
-        step=step,
-        optimizer=optimizer,
-    )
+    ckpt = Checkpoint(params=params, config=config, vocab_digest=vocab_digest, step=step)
     ckpt.validate_finite()
     return ckpt
 
 
-RESIZE_POLICIES = ("subword-mean", "keep-slot-row", "random")
-
-
 def resize_for_vocab(
-    ckpt: Checkpoint,
-    old_vocab: Vocabulary,
-    new_vocab: Vocabulary,
-    init_policy: str = "subword-mean",
+    ckpt: Checkpoint, old_vocab: Vocabulary, new_vocab: Vocabulary
 ) -> Checkpoint:
     """Re-initialize embedding rows of slots rewritten by a vocabulary expansion.
 
     The two vocabularies must have equal size (slot replacement, never
-    append). Under the default "subword-mean" policy each rewritten slot gets
-    the arithmetic mean of the embeddings of the new word's wordpiece
-    decomposition under the old vocabulary, falling back to a seeded random
-    row when the decomposition is [UNK]. Every other tensor element is copied
-    unchanged.
+    append). Each rewritten slot gets the arithmetic mean of the embeddings
+    of the new word's wordpiece decomposition under the old vocabulary
+    (subword mean), falling back to a seeded random row when the
+    decomposition is [UNK]. Every other tensor element is copied unchanged.
     """
-    if init_policy not in RESIZE_POLICIES:
-        raise ValidationError(
-            f"unknown init policy {init_policy!r}; choose from {RESIZE_POLICIES}"
-        )
     if len(old_vocab) != len(new_vocab):
         raise ValidationError(
             f"vocabulary sizes differ ({len(old_vocab)} vs {len(new_vocab)}); "
@@ -203,19 +182,12 @@ def resize_for_vocab(
     out.vocab_digest = new_vocab.digest()
     emb = out.params["tok_emb"]
     for i in changed:
-        if init_policy == "keep-slot-row":
-            continue
-        word = new_vocab.tokens[i]
-        row = None
-        if init_policy == "subword-mean":
-            pieces = wordpiece(word, old_vocab)
-            if pieces != [UNK]:
-                rows = emb[[old_vocab.id_of(p) for p in pieces]]
-                row = rows.mean(axis=0)
-        if row is None:  # "random" policy, or [UNK] fallback under subword-mean
+        pieces = wordpiece(new_vocab.tokens[i], old_vocab)
+        if pieces != [UNK]:
+            emb[i] = emb[[old_vocab.id_of(p) for p in pieces]].mean(axis=0)
+        else:
             rng = np.random.default_rng([ckpt.config.seed, i])
-            row = rng.normal(0.0, 0.02, emb.shape[1])
-        emb[i] = row
+            emb[i] = rng.normal(0.0, 0.02, emb.shape[1])
     return out
 
 

@@ -23,7 +23,6 @@ class ModelConfig:
     d_ff: int = 256
     max_positions: int = 128
     n_tags: int = N_TAGS
-    dropout_rate: float = 0.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -40,10 +39,6 @@ class ModelConfig:
             )
         if self.n_tags < 1:
             raise ConfigurationError(f"n_tags must be positive: {self.n_tags}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(
-                f"dropout_rate must be in [0, 1): {self.dropout_rate}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)

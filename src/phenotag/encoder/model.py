@@ -59,21 +59,6 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b"]
-    for i in range(config.n_layers):
-        p = f"l{i}."
-        names += [
-            p + "attn_wq", p + "attn_bq", p + "attn_wk", p + "attn_bk",
-            p + "attn_wv", p + "attn_bv", p + "attn_wo", p + "attn_bo",
-            p + "attn_ln_g", p + "attn_ln_b",
-            p + "ffn_w1", p + "ffn_b1", p + "ffn_w2", p + "ffn_b2",
-            p + "ffn_ln_g", p + "ffn_ln_b",
-        ]
-    names += ["mlm_bias", "ner_w", "ner_b"]
-    return names
-
-
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Seeded initialization: weights ~ N(0, 0.02), layer norms at identity."""
     config.validate()
@@ -210,11 +195,6 @@ def _linear_backward(dy, x, w):
     return dx, dw, db
 
 
-def _make_dropout(shape, rate, rng):
-    keep = (rng.random(shape) >= rate).astype(np.float64)
-    return keep / (1.0 - rate)
-
-
 # ---------------------------------------------------------------------------
 # backbone forward / backward
 
@@ -224,13 +204,8 @@ def forward_hidden(
     config: ModelConfig,
     ids: np.ndarray,
     mask: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Run the encoder; returns hidden states [B, S, d] and a backward cache.
-
-    Dropout is applied only when ``dropout_rng`` is given and the configured
-    rate is positive; inference is fully deterministic.
-    """
+    """Run the encoder; returns hidden states [B, S, d] and a backward cache."""
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
     b, s = ids.shape
@@ -238,25 +213,11 @@ def forward_hidden(
         raise ConfigurationError(
             f"sequence length {s} exceeds max_positions {config.max_positions}"
         )
-    rate = config.dropout_rate if dropout_rng is not None else 0.0
-    drop = (
-        (lambda shape: _make_dropout(shape, rate, dropout_rng))
-        if rate > 0.0
-        else (lambda shape: None)
-    )
-
-    def apply_drop(x, m):
-        return x if m is None else x * m
-
     cache: dict = {"ids": ids, "mask": mask, "config": config, "layers": []}
 
     e = params["tok_emb"][ids]
     e += params["pos_emb"][:s]
-    h, emb_ln = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
-    emb_drop = drop(h.shape)
-    h = apply_drop(h, emb_drop)
-    cache["emb_ln"] = emb_ln
-    cache["emb_drop"] = emb_drop
+    h, cache["emb_ln"] = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
 
     key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
     scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
@@ -273,28 +234,20 @@ def forward_hidden(
         scores *= scale
         scores += key_bias
         probs = _softmax_last(scores)
-        probs_drop = drop(probs.shape)
-        probs_used = apply_drop(probs, probs_drop)
-        ctx = _merge_heads(probs_used @ vh)
+        ctx = _merge_heads(probs @ vh)
         attn = _affine(ctx, params[pre + "attn_wo"], params[pre + "attn_bo"])
-        attn_drop = drop(attn.shape)
-        attn = apply_drop(attn, attn_drop)
         attn += x  # residual
         n1, ln1 = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"])
         hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
         act, cdf = _gelu(hmid)
         f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
-        ffn_drop = drop(f.shape)
-        f = apply_drop(f, ffn_drop)
         f += n1  # residual
         h, ln2 = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
         cache["layers"].append(
             {
                 "x": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
-                "probs_drop": probs_drop, "probs_used": probs_used,
-                "ctx": ctx, "attn_drop": attn_drop, "ln1": ln1, "n1": n1,
-                "hmid": hmid, "cdf": cdf, "act": act, "ffn_drop": ffn_drop,
-                "ln2": ln2,
+                "ctx": ctx, "ln1": ln1, "n1": n1, "hmid": hmid, "cdf": cdf,
+                "act": act, "ln2": ln2,
             }
         )
     return h, cache
@@ -317,8 +270,7 @@ def backward_hidden(
         dr2, dg2, db2 = _layernorm_backward(dh, lc["ln2"])
         grads[pre + "ffn_ln_g"] += dg2
         grads[pre + "ffn_ln_b"] += db2
-        df = dr2 if lc["ffn_drop"] is None else dr2 * lc["ffn_drop"]
-        dact, dw2, db2f = _linear_backward(df, lc["act"], params[pre + "ffn_w2"])
+        dact, dw2, db2f = _linear_backward(dr2, lc["act"], params[pre + "ffn_w2"])
         grads[pre + "ffn_w2"] += dw2
         grads[pre + "ffn_b2"] += db2f
         dhmid = _gelu_backward(dact, lc["hmid"], lc["cdf"])
@@ -329,18 +281,12 @@ def backward_hidden(
         dr1, dg1, db1 = _layernorm_backward(dn1, lc["ln1"])
         grads[pre + "attn_ln_g"] += dg1
         grads[pre + "attn_ln_b"] += db1
-        dattn = dr1 if lc["attn_drop"] is None else dr1 * lc["attn_drop"]
-        dctx, dwo, dbo = _linear_backward(dattn, lc["ctx"], params[pre + "attn_wo"])
+        dctx, dwo, dbo = _linear_backward(dr1, lc["ctx"], params[pre + "attn_wo"])
         grads[pre + "attn_wo"] += dwo
         grads[pre + "attn_bo"] += dbo
         dctx_h = _split_heads(dctx, config.n_heads)
-        dprobs_used = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
-        dvh = lc["probs_used"].transpose(0, 1, 3, 2) @ dctx_h
-        dprobs = (
-            dprobs_used
-            if lc["probs_drop"] is None
-            else dprobs_used * lc["probs_drop"]
-        )
+        dprobs = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
+        dvh = lc["probs"].transpose(0, 1, 3, 2) @ dctx_h
         dscores = _softmax_backward(dprobs, lc["probs"])
         dqh = dscores @ lc["kh"]
         dqh *= scale
@@ -357,8 +303,6 @@ def backward_hidden(
             dx += dxi
         dh = dx
 
-    if cache["emb_drop"] is not None:
-        dh = dh * cache["emb_drop"]
     de, dg, db = _layernorm_backward(dh, cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
@@ -395,7 +339,6 @@ def mlm_loss_and_grads(
     pos_b: np.ndarray,
     pos_s: np.ndarray,
     labels: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Masked-token cross entropy at the given positions, with full gradients.
 
@@ -404,7 +347,7 @@ def mlm_loss_and_grads(
     """
     if len(labels) == 0:
         raise ConfigurationError("no masked positions: nothing to supervise")
-    h, cache = forward_hidden(params, config, ids, mask, dropout_rng)
+    h, cache = forward_hidden(params, config, ids, mask)
     hm = h[pos_b, pos_s]
     logits = _affine(hm, params["tok_emb"].T, params["mlm_bias"])
     loss, acc, dlogits = _softmax_xent(logits, labels)
@@ -423,14 +366,13 @@ def ner_loss_and_grads(
     ids: np.ndarray,
     mask: np.ndarray,
     tag_ids: np.ndarray,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Per-token tag cross entropy; positions tagged -1 are excluded."""
     tag_ids = np.asarray(tag_ids, dtype=np.int64)
     sel = tag_ids >= 0
     if not sel.any():
         raise ConfigurationError("no supervised token positions in batch")
-    h, cache = forward_hidden(params, config, ids, mask, dropout_rng)
+    h, cache = forward_hidden(params, config, ids, mask)
     hs = h[sel]
     logits = _affine(hs, params["ner_w"], params["ner_b"])
     loss, acc, dlogits = _softmax_xent(logits, tag_ids[sel])

@@ -1,9 +1,10 @@
 """Masked-language-model pre-training and token-classification fine-tuning.
 
-Both loops are deterministic given their seed: batch sampling, masking
-choices, and dropout all come from one seeded generator, and parameters are
-updated by Adam. Input checkpoints are never mutated; training returns a new
-checkpoint plus a per-step trace.
+Both loops are deterministic given their seed: batch sampling and masking
+choices come from one seeded generator, and parameters are updated by Adam.
+The recipe is BERT's and fixed: 80/10/10 corruption of masked positions, and
+Adam betas 0.9/0.999 and eps 1e-8. Input checkpoints are never mutated;
+training returns a new checkpoint plus a per-step trace.
 """
 
 from __future__ import annotations
@@ -36,66 +37,51 @@ class TrainRecord:
     accuracy: float
 
 
-@dataclass(frozen=True)
-class MaskingConfig:
-    """Masked-LM corruption recipe: fraction masked, then 80/10/10 handling."""
+# Masked-LM corruption: a masked position becomes [MASK] with probability
+# 0.8, a random non-special token with 0.1, and keeps its token otherwise.
+# The second threshold is the sum 0.8 + 0.1 == 0.9000000000000001, not 0.9.
+_REPLACE_MASK = 0.8
+_REPLACE_RANDOM = 0.1
 
-    mask_frac: float = 0.15
-    replace_mask: float = 0.8
-    replace_random: float = 0.1
-    keep: float = 0.1
-
-    def validate(self) -> None:
-        if not 0.0 < self.mask_frac <= 1.0:
-            raise ConfigurationError(
-                f"mask_frac must be in (0, 1], got {self.mask_frac}"
-            )
-        parts = (self.replace_mask, self.replace_random, self.keep)
-        if any(p < 0.0 for p in parts) or abs(sum(parts) - 1.0) > 1e-9:
-            raise ConfigurationError(
-                f"replacement fractions must be non-negative and sum to 1, "
-                f"got {parts}"
-            )
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+def _check_mask_frac(mask_frac: float) -> None:
+    if not 0.0 < mask_frac <= 1.0:
+        raise ConfigurationError(f"mask_frac must be in (0, 1], got {mask_frac}")
 
 
 class Adam:
     """Adam with bias correction over a flat parameter dict."""
 
-    def __init__(self, params: dict[str, np.ndarray], settings: OptimizerConfig):
-        self.settings = settings
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        s = self.settings
         self.t += 1
-        bc1 = 1.0 - s.beta1**self.t
-        bc2 = 1.0 - s.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         # In place, in the operation order of
         #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
         for k, g in grads.items():
             m, v = self.m[k], self.v[k]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * g
-            v *= s.beta2
-            gg = (1.0 - s.beta2) * g
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            gg = (1.0 - _BETA2) * g
             gg *= g
             v += gg
             upd = np.divide(m, bc1)
-            upd *= s.lr
+            upd *= self.lr
             den = np.divide(v, bc2, out=gg)
             np.sqrt(den, out=den)
-            den += s.eps
+            den += _EPS
             upd /= den
             params[k] -= upd
 
@@ -136,7 +122,7 @@ def _apply_masking(
     seqs: list[list[int]],
     ids: np.ndarray,
     vocab: Vocabulary,
-    masking: MaskingConfig,
+    mask_frac: float,
     rng: np.random.Generator,
     random_pool: np.ndarray,
 ):
@@ -149,7 +135,7 @@ def _apply_masking(
         cand = [p for p, tok in enumerate(seq) if tok not in specials]
         if not cand:
             continue
-        n_mask = max(1, int(round(masking.mask_frac * len(cand))))
+        n_mask = max(1, int(round(mask_frac * len(cand))))
         chosen = rng.choice(len(cand), size=min(n_mask, len(cand)), replace=False)
         for ci in np.sort(chosen):
             p = cand[int(ci)]
@@ -157,9 +143,9 @@ def _apply_masking(
             pos_s.append(p)
             labels.append(seq[p])
             u = rng.random()
-            if u < masking.replace_mask:
+            if u < _REPLACE_MASK:
                 ids[r, p] = vocab.mask_id
-            elif u < masking.replace_mask + masking.replace_random:
+            elif u < _REPLACE_MASK + _REPLACE_RANDOM:
                 ids[r, p] = int(random_pool[rng.integers(len(random_pool))])
             # else: keep the original token as input
     return (
@@ -174,8 +160,8 @@ def pretrain_mlm(
     corpus: Sequence[Document],
     vocab: Vocabulary,
     steps: int,
-    masking: MaskingConfig = MaskingConfig(),
-    optimizer: OptimizerConfig = OptimizerConfig(),
+    mask_frac: float = 0.15,
+    lr: float = 1e-3,
     batch_size: int = 16,
     seed: int | None = None,
 ) -> tuple[Checkpoint, list[TrainRecord]]:
@@ -184,7 +170,7 @@ def pretrain_mlm(
     Cross entropy is computed only at masked positions. A non-finite loss
     aborts with a diagnostic naming the step.
     """
-    masking.validate()
+    _check_mask_frac(mask_frac)
     _check_counts(batch_size, "steps", steps)
     ckpt.check_vocab(vocab)
     out = ckpt.copy()
@@ -199,7 +185,7 @@ def pretrain_mlm(
     random_pool = np.array(
         [i for i in range(len(vocab)) if i not in special_set], dtype=np.int64
     )
-    adam = Adam(out.params, optimizer)
+    adam = Adam(out.params, lr)
     records: list[TrainRecord] = []
     for local_step in range(steps):
         step = out.step + 1
@@ -207,11 +193,10 @@ def pretrain_mlm(
         seqs = [pool[int(i)] for i in idx]
         ids, mask = _pad_batch(seqs, vocab.pad_id)
         pos_b, pos_s, labels = _apply_masking(
-            seqs, ids, vocab, masking, rng, random_pool
+            seqs, ids, vocab, mask_frac, rng, random_pool
         )
-        dropout_rng = rng if ckpt.config.dropout_rate > 0 else None
         loss, acc, grads = mlm_loss_and_grads(
-            out.params, out.config, ids, mask, pos_b, pos_s, labels, dropout_rng
+            out.params, out.config, ids, mask, pos_b, pos_s, labels
         )
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite masked-LM loss at step {step}")
@@ -225,11 +210,11 @@ def masked_accuracy(
     ckpt: Checkpoint,
     corpus: Sequence[Document],
     vocab: Vocabulary,
-    masking: MaskingConfig = MaskingConfig(),
+    mask_frac: float = 0.15,
     seed: int = 0,
 ) -> float:
     """Masked-token accuracy of a trained model over freshly masked sentences."""
-    masking.validate()
+    _check_mask_frac(mask_frac)
     ckpt.check_vocab(vocab)
     pool = _sentence_ids(corpus, vocab, ckpt.config.max_positions)
     if not pool:
@@ -245,7 +230,7 @@ def masked_accuracy(
         seqs = pool[start : start + 32]
         ids, mask = _pad_batch(seqs, vocab.pad_id)
         pos_b, pos_s, labels = _apply_masking(
-            seqs, ids, vocab, masking, rng, random_pool
+            seqs, ids, vocab, mask_frac, rng, random_pool
         )
         h, _ = forward_hidden(ckpt.params, ckpt.config, ids, mask)
         logits = h[pos_b, pos_s] @ ckpt.params["tok_emb"].T + ckpt.params["mlm_bias"]
@@ -294,7 +279,6 @@ def finetune_ner(
     train_docs: Sequence[Document],
     vocab: Vocabulary,
     hyper: FinetuneConfig = FinetuneConfig(),
-    optimizer: OptimizerConfig | None = None,
 ) -> tuple[Checkpoint, list[TrainRecord]]:
     """Fine-tune the tag head (and backbone) on BIO-encoded sentences.
 
@@ -306,11 +290,10 @@ def finetune_ner(
     examples = _ner_examples(train_docs, vocab, ckpt.config.max_positions)
     if not examples:
         raise ValidationError("no training sentences after encoding")
-    opt = optimizer if optimizer is not None else OptimizerConfig(lr=hyper.lr)
     out = ckpt.copy()
     out.vocab_digest = vocab.digest()
     rng = np.random.default_rng(hyper.seed)
-    adam = Adam(out.params, opt)
+    adam = Adam(out.params, hyper.lr)
     records: list[TrainRecord] = []
     step = 0
     for _ in range(hyper.epochs):
@@ -322,9 +305,8 @@ def finetune_ner(
             tag_ids = np.full((len(batch), width), -1, dtype=np.int64)
             for r, (_, tids) in enumerate(batch):
                 tag_ids[r, : len(tids)] = tids
-            dropout_rng = rng if ckpt.config.dropout_rate > 0 else None
             loss, acc, grads = ner_loss_and_grads(
-                out.params, out.config, ids, mask, tag_ids, dropout_rng
+                out.params, out.config, ids, mask, tag_ids
             )
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite tag loss at step {step + 1}")

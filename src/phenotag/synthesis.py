@@ -1,25 +1,24 @@
 """Deterministic synthetic corpus generation.
 
-Documents are built from label-specific sentence templates, each carrying one
-entity phrase drawn from a per-label inventory. Label frequencies follow
-configurable weights (defaults mimic a realistically imbalanced annotated
-corpus), phrases are drawn through a shuffle bag so every inventory entry
+Documents are built from label-specific sentence templates (TEMPLATES), each
+carrying one entity phrase from the label's PHRASES, with FILLERS sentences in
+between. Label frequencies follow WEIGHTS (a realistically imbalanced
+annotated corpus), phrases are drawn through a shuffle bag so every phrase
 appears once before any repeats, and everything is a pure function of
-(seed, n_docs, inventory).
+(seed, n_docs).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import Document, EntityLabel, EntitySpan, LABELS
 from .errors import ConfigurationError
 
 _L = EntityLabel
 
-_DEFAULT_PHRASES: dict[EntityLabel, tuple[str, ...]] = {
+PHRASES: dict[EntityLabel, tuple[str, ...]] = {
     _L.HORMONE_RECEPTOR_TYPE: (
         "her2", "estrogen receptor", "progesterone receptor", "er", "pr", "her-2",
     ),
@@ -53,7 +52,7 @@ _DEFAULT_PHRASES: dict[EntityLabel, tuple[str, ...]] = {
     ),
 }
 
-_DEFAULT_TEMPLATES: dict[EntityLabel, tuple[str, ...]] = {
+TEMPLATES: dict[EntityLabel, tuple[str, ...]] = {
     _L.HORMONE_RECEPTOR_TYPE: (
         "immunohistochemistry was performed for {} on the specimen.",
         "the {} gene was tested.",
@@ -103,9 +102,9 @@ _DEFAULT_TEMPLATES: dict[EntityLabel, tuple[str, ...]] = {
     ),
 }
 
-# Relative label frequencies; defaults follow the mention counts of a
+# Relative label frequencies, following the mention counts of a
 # realistically imbalanced annotated corpus.
-_DEFAULT_WEIGHTS: dict[EntityLabel, float] = {
+WEIGHTS: dict[EntityLabel, float] = {
     _L.HORMONE_RECEPTOR_TYPE: 1673.0,
     _L.HORMONE_RECEPTOR_STATUS: 436.0,
     _L.TUMOR_SIZE: 540.0,
@@ -116,7 +115,7 @@ _DEFAULT_WEIGHTS: dict[EntityLabel, float] = {
     _L.CANCER_STAGE: 173.0,
 }
 
-_DEFAULT_FILLERS = (
+FILLERS = (
     "the patient was seen in clinic today.",
     "she reported no acute distress.",
     "follow up was planned in six weeks.",
@@ -126,57 +125,8 @@ _DEFAULT_FILLERS = (
 )
 
 
-@dataclass(frozen=True)
-class PhraseInventory:
-    """Entity phrases, sentence templates, and sampling weights per label."""
-
-    phrases: Mapping[EntityLabel, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_DEFAULT_PHRASES)
-    )
-    templates: Mapping[EntityLabel, tuple[str, ...]] = field(
-        default_factory=lambda: dict(_DEFAULT_TEMPLATES)
-    )
-    weights: Mapping[EntityLabel, float] = field(
-        default_factory=lambda: dict(_DEFAULT_WEIGHTS)
-    )
-    fillers: tuple[str, ...] = _DEFAULT_FILLERS
-
-    def validate(self) -> None:
-        for label in LABELS:
-            if not self.phrases.get(label):
-                raise ConfigurationError(f"no phrases configured for {label.value}")
-            if not self.templates.get(label):
-                raise ConfigurationError(f"no templates configured for {label.value}")
-            if self.weights.get(label, 0.0) <= 0.0:
-                raise ConfigurationError(
-                    f"non-positive weight for {label.value}"
-                )
-        for label, templates in self.templates.items():
-            for t in templates:
-                if t.count("{}") != 1:
-                    raise ConfigurationError(
-                        f"template {t!r} for {label.value} must contain exactly "
-                        "one {} slot"
-                    )
-
-    def all_entity_words(self) -> list[str]:
-        """Unique lowercased words across all entity phrases, in label order."""
-        from .tokenizer import basic_tokenize
-
-        seen: dict[str, None] = {}
-        for label in LABELS:
-            for phrase in self.phrases.get(label, ()):
-                for word, _, _ in basic_tokenize(phrase):
-                    seen.setdefault(word)
-        return list(seen)
-
-
-def default_inventory() -> PhraseInventory:
-    return PhraseInventory()
-
-
 class _ShuffleBag:
-    """Draws items in inventory order first, then reshuffled full passes."""
+    """Draws items in table order first, then reshuffled full passes."""
 
     def __init__(self, items: Sequence[str], rng: random.Random) -> None:
         self._items = list(items)
@@ -190,12 +140,10 @@ class _ShuffleBag:
         return self._queue.pop(0)
 
 
-def _allocate_labels(
-    total: int, weights: Mapping[EntityLabel, float]
-) -> list[EntityLabel]:
-    """Largest-remainder allocation of `total` slots proportional to weights."""
-    wsum = sum(weights[label] for label in LABELS)
-    exact = {label: total * weights[label] / wsum for label in LABELS}
+def _allocate_labels(total: int) -> list[EntityLabel]:
+    """Largest-remainder allocation of `total` slots proportional to WEIGHTS."""
+    wsum = sum(WEIGHTS[label] for label in LABELS)
+    exact = {label: total * WEIGHTS[label] / wsum for label in LABELS}
     counts = {label: int(exact[label]) for label in LABELS}
     leftover = total - sum(counts.values())
     by_remainder = sorted(
@@ -209,24 +157,20 @@ def _allocate_labels(
     return out
 
 
-def generate_synthetic(
-    seed: int, n_docs: int, inventory: PhraseInventory | None = None
-) -> list[Document]:
+def generate_synthetic(seed: int, n_docs: int) -> list[Document]:
     """Generate an annotated corpus deterministically from a seed.
 
     Every document carries gold spans whose text slice equals the inserted
-    phrase, and the corpus-wide label histogram tracks the configured weights
+    phrase, and the corpus-wide label histogram tracks WEIGHTS
     (largest-remainder allocation, then shuffled assignment to sentences).
     """
-    inv = inventory if inventory is not None else default_inventory()
-    inv.validate()
     if n_docs < 0:
         raise ConfigurationError(f"n_docs must be non-negative, got {n_docs}")
     rng = random.Random(seed)
     sentences_per_doc = [rng.randint(3, 6) for _ in range(n_docs)]
-    labels = _allocate_labels(sum(sentences_per_doc), inv.weights)
+    labels = _allocate_labels(sum(sentences_per_doc))
     rng.shuffle(labels)
-    bags = {label: _ShuffleBag(inv.phrases[label], rng) for label in LABELS}
+    bags = {label: _ShuffleBag(PHRASES[label], rng) for label in LABELS}
 
     docs: list[Document] = []
     cursor = 0
@@ -235,14 +179,14 @@ def generate_synthetic(
         entities: list[EntitySpan] = []
         offset = 0
         for _ in range(sentences_per_doc[d]):
-            if inv.fillers and rng.random() < 0.2:
-                filler = rng.choice(inv.fillers)
+            if rng.random() < 0.2:
+                filler = rng.choice(FILLERS)
                 parts.append(filler)
                 offset += len(filler) + 1
             label = labels[cursor]
             cursor += 1
             phrase = bags[label].draw()
-            template = rng.choice(inv.templates[label])
+            template = rng.choice(TEMPLATES[label])
             sentence = template.format(phrase)
             start = offset + template.index("{}")
             entities.append(EntitySpan(start, start + len(phrase), label))

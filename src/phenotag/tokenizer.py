@@ -87,10 +87,6 @@ class Vocabulary:
         return self._index[PAD]
 
     @property
-    def unk_id(self) -> int:
-        return self._index[UNK]
-
-    @property
     def cls_id(self) -> int:
         return self._index[CLS]
 

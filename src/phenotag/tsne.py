@@ -18,6 +18,13 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 _P_MIN = 1e-12
+_TOL = 1e-5
+_MAX_STEPS = 50
+# The optimisation schedule of exact t-SNE (van der Maaten and Hinton, 2008).
+_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 12.0
+_EXAGGERATION_ITERS = 250
+_MOMENTUM_SWITCH = 250
 
 
 def _squared_distances(x: np.ndarray) -> np.ndarray:
@@ -39,17 +46,12 @@ def _entropy_and_probs(dist_row: np.ndarray, beta: float):
     h = np.log(sum_p) + beta * float((dist_row * p).sum()) / sum_p
     return h, p / sum_p
 
-def joint_probabilities(
-    x: np.ndarray,
-    perplexity: float,
-    tol: float = 1e-5,
-    max_steps: int = 50,
-) -> np.ndarray:
+def joint_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized, normalized pairwise affinities for the given perplexity.
 
     Each point's Gaussian precision is found by bisection until the entropy
-    of its conditional distribution matches log(perplexity) within ``tol``
-    (at most ``max_steps`` halvings/doublings).
+    of its conditional distribution matches log(perplexity) within ``_TOL``
+    (at most ``_MAX_STEPS`` halvings/doublings).
     """
     import numpy as np
 
@@ -61,8 +63,8 @@ def joint_probabilities(
         row = np.delete(d2[i], i)
         beta, beta_min, beta_max = 1.0, -np.inf, np.inf
         h, p = _entropy_and_probs(row, beta)
-        for _ in range(max_steps):
-            if abs(h - target) < tol:
+        for _ in range(_MAX_STEPS):
+            if abs(h - target) < _TOL:
                 break
             if h > target:
                 beta_min = beta
@@ -100,10 +102,6 @@ def tsne(
     perplexity: float = 10.0,
     iterations: int = 1000,
     seed: int = 0,
-    learning_rate: float = 200.0,
-    early_exaggeration: float = 12.0,
-    exaggeration_iters: int = 250,
-    momentum_switch: int = 250,
 ) -> tuple[np.ndarray, list[float]]:
     """Project points to 2-D; returns (coords [n, 2], KL trace).
 
@@ -144,12 +142,12 @@ def tsne(
     q, _ = _student_t_q(y)
     kl_trace = [_kl(p, q)]
     for t in range(1, iterations + 1):
-        p_eff = p * early_exaggeration if t <= exaggeration_iters else p
+        p_eff = p * _EARLY_EXAGGERATION if t <= _EXAGGERATION_ITERS else p
         q, num = _student_t_q(y)
         pq = (p_eff - q) * num
         grad = 4.0 * ((np.diag(pq.sum(1)) - pq) @ y)
-        momentum = 0.5 if t <= momentum_switch else 0.8
-        update = momentum * update - learning_rate * grad
+        momentum = 0.5 if t <= _MOMENTUM_SWITCH else 0.8
+        update = momentum * update - _LEARNING_RATE * grad
         y = y + update
         y = y - y.mean(0)
         q, _ = _student_t_q(y)

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -60,3 +61,17 @@ def explode_sentences(docs, limit=None):
             if limit is not None and len(out) >= limit:
                 return out
     return out
+
+
+def with_removed_settings(src: Path, dst: Path) -> None:
+    """Copy checkpoint ``src`` to ``dst``, adding the ``config.dropout_rate``
+    and ``optimizer`` metadata keys that checkpoints carried before those
+    settings were removed."""
+    data = Path(src).read_bytes()
+    meta_len = int.from_bytes(data[8:12], "little")
+    meta = json.loads(data[12 : 12 + meta_len])
+    meta["config"]["dropout_rate"] = 0.0
+    meta["optimizer"] = "adam"
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    rest = data[12 + meta_len :]
+    Path(dst).write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + rest)

@@ -1,12 +1,13 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from conftest import child_env
+from conftest import child_env, with_removed_settings
 from phenotag.cli import main
-from phenotag.corpus import load_corpus
+from phenotag.corpus import Document, EntityLabel, EntitySpan, load_corpus, save_corpus
 from phenotag.tokenizer import load_vocab
 
 
@@ -323,6 +324,43 @@ class TestModelCommandFailures:
                    "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
         assert code == 1
         assert "cut.ckpt" in one_line_error(capsys)
+
+    def test_checkpoint_with_removed_settings_is_one_line_error(self, tiny_model,
+                                                                tmp_path, capsys):
+        old = tmp_path / "old.ckpt"
+        with_removed_settings(tiny_model["ckpt"], old)
+        code = run("predict", "--ckpt", str(old), "--vocab", tiny_model["base"],
+                   "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1
+        err = one_line_error(capsys)
+        assert "old.ckpt: bad checkpoint metadata" in err and "dropout_rate" in err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    def test_tsne_rows_parse_with_comma_and_quote_tokens(self, tiny_model, tmp_path):
+        text = 'er positive, pr negative "weakly" noted.'
+        span = EntitySpan(0, text.index(" noted"), EntityLabel.HORMONE_RECEPTOR_STATUS)
+        corpus = tmp_path / "c.jsonl"
+        save_corpus([Document("d0", text, [span])], corpus)
+        coords = tmp_path / "coords.csv"
+        assert run("tsne", "--ckpt", str(tiny_model["ckpt"]), "--vocab", tiny_model["base"],
+                   "--corpus", str(corpus), "--perplexity", "1", "--iterations", "5",
+                   "--out", str(coords)) == 0
+        with open(coords, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["token", "label", "x", "y"]
+        assert all(len(row) == 4 for row in rows), rows
+        assert {",", '"'} <= {row[0] for row in rows[1:]}
+
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    def test_mask_frac_outside_unit_interval_is_one_line_error(self, tiny_model,
+                                                               tmp_path, capsys, value):
+        out = tmp_path / "out.ckpt"
+        code = run("pretrain", "--init-from", str(tiny_model["ckpt"]),
+                   "--corpus", tiny_model["train"], "--vocab", tiny_model["base"],
+                   "--mask-frac", value, "--out", str(out))
+        assert code == 1
+        assert "mask_frac must be in (0, 1]" in one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestStartupImports:

@@ -18,9 +18,7 @@ from phenotag.corpus import (
 from phenotag.encoder import (
     Adam,
     FinetuneConfig,
-    MaskingConfig,
     ModelConfig,
-    OptimizerConfig,
     finetune_ner,
     format_trace,
     init_model,
@@ -50,16 +48,19 @@ def small_setup():
 
 
 class TestMaskingConfig:
-    def test_zero_mask_frac_rejected(self):
+    """The mask fraction is the one masking setting; the 80/10/10 split is fixed."""
+
+    def test_zero_mask_frac_rejected(self, small_setup):
+        vocab, docs, ck = small_setup
         with pytest.raises(ConfigurationError, match="mask_frac"):
-            MaskingConfig(mask_frac=0.0).validate()
+            pretrain_mlm(ck, docs, vocab, steps=1, mask_frac=0.0)
 
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ConfigurationError, match="sum to 1"):
-            MaskingConfig(replace_mask=0.8, replace_random=0.3, keep=0.1).validate()
-
-    def test_default_valid(self):
-        MaskingConfig().validate()
+    def test_mask_frac_above_one_rejected(self, small_setup):
+        vocab, docs, ck = small_setup
+        with pytest.raises(ConfigurationError, match="mask_frac"):
+            pretrain_mlm(ck, docs, vocab, steps=1, mask_frac=1.5)
+        with pytest.raises(ConfigurationError, match="mask_frac"):
+            masked_accuracy(ck, docs, vocab, mask_frac=1.5)
 
 
 class TestPretrain:
@@ -315,7 +316,7 @@ def test_training_step_reuses_memory_without_page_faults():
     ids = rng.integers(5, config.vocab_size, (32, 40))
     mask = (np.arange(40) < rng.integers(8, 41, (32, 1))).astype(np.float64)
     tags = np.where(mask > 0, rng.integers(0, config.n_tags, (32, 40)), -1)
-    adam = Adam(params, OptimizerConfig())
+    adam = Adam(params, 1e-3)
 
     def step():
         _, _, grads = ner_loss_and_grads(params, config, ids, mask, tags)

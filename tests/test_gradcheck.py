@@ -14,7 +14,6 @@ class TestGradCheck:
     def test_tiny_config_within_tolerance(self):
         result = grad_check()
         assert result.max_rel_error <= 1e-4
-        assert result.passed()
 
     def test_zero_layer_linear_softmax_tight(self):
         result = grad_check(ZERO_LAYER)
@@ -48,7 +47,6 @@ class TestGradCheck:
         monkeypatch.setattr(gradcheck_module, "mlm_loss_and_grads", corrupted)
         result = grad_check(coords_per_tensor=8)
         assert result.max_rel_error > 1e-2
-        assert not result.passed()
 
     def test_deterministic(self):
         a = grad_check(ZERO_LAYER, coords_per_tensor=16)

@@ -48,3 +48,26 @@ def test_text_becomes_ids_in_one_place():
         "phenotag.corpus.encode_corpus",
         "phenotag.cli.cmd_tokenize",
     }
+
+
+def test_every_definition_is_used():
+    # A function, method or class that nothing in the package refers to is
+    # dead code or exists only for its tests. An import or an ``__all__``
+    # string is not a use; dunder methods are called by Python itself.
+    # masked_accuracy is the one exception: acceptance criterion 6 measures
+    # pre-training with it, and no command reports it.
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.add("masked_accuracy")
+    unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
+    assert not unused, unused

@@ -2,9 +2,9 @@ from collections import Counter
 
 import pytest
 
-from phenotag.corpus import EntityLabel, LABELS
+from phenotag.corpus import LABELS
 from phenotag.errors import ConfigurationError
-from phenotag.synthesis import PhraseInventory, default_inventory, generate_synthetic
+from phenotag.synthesis import PHRASES, TEMPLATES, WEIGHTS, generate_synthetic
 
 
 class TestDeterminism:
@@ -16,21 +16,12 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         assert generate_synthetic(1, 10) != generate_synthetic(2, 10)
 
-    def test_pure_function_of_inputs(self):
-        inv = default_inventory()
-        a = generate_synthetic(5, 25, inv)
-        b = generate_synthetic(5, 25, inv)
-        assert a == b
-
 
 class TestGoldSpans:
     def test_span_slices_match_phrases(self, corpus200):
-        inventory_phrases = {
-            p for phrases in default_inventory().phrases.values() for p in phrases
-        }
         for doc in corpus200:
             for span in doc.entities:
-                assert doc.span_text(span) in inventory_phrases
+                assert doc.span_text(span) in PHRASES[span.label]
 
     def test_every_label_present_at_scale(self, corpus200):
         seen = {s.label for d in corpus200 for s in d.entities}
@@ -44,30 +35,21 @@ class TestGoldSpans:
 
 class TestHistogram:
     def test_within_20pct_of_weights(self, corpus200):
-        inv = default_inventory()
         hist = Counter(s.label for d in corpus200 for s in d.entities)
         total = sum(hist.values())
-        wsum = sum(inv.weights.values())
+        wsum = sum(WEIGHTS.values())
         for label in LABELS:
-            expected = total * inv.weights[label] / wsum
+            expected = total * WEIGHTS[label] / wsum
             assert abs(hist[label] - expected) <= 0.2 * expected, label
 
 
 class TestInventoryValidation:
-    def test_empty_phrase_class_rejected(self):
-        inv = default_inventory()
-        phrases = dict(inv.phrases)
-        phrases[EntityLabel.CANCER_STAGE] = ()
-        broken = PhraseInventory(phrases=phrases)
-        with pytest.raises(ConfigurationError, match="CancerStage"):
-            generate_synthetic(1, 5, broken)
-
-    def test_bad_template_rejected(self):
-        inv = default_inventory()
-        templates = dict(inv.templates)
-        templates[EntityLabel.TUMOR_SIZE] = ("no slot here.",)
-        with pytest.raises(ConfigurationError, match="slot"):
-            generate_synthetic(1, 5, PhraseInventory(templates=templates))
+    def test_shipped_tables_cover_every_label(self):
+        for label in LABELS:
+            assert PHRASES[label] and TEMPLATES[label], label
+            assert WEIGHTS[label] > 0.0, label
+            for template in TEMPLATES[label]:
+                assert template.count("{}") == 1, template
 
     def test_negative_docs_rejected(self):
         with pytest.raises(ConfigurationError):
