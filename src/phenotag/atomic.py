@@ -1,4 +1,5 @@
-"""Whole-file writes: a reader sees the old contents or the new, never a part."""
+"""File I/O: whole-file writes that a reader sees entirely or not at all, and
+line reads that name the line of a byte that is not UTF-8."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
+
+from .errors import ParseError
 
 
 @contextmanager
@@ -30,3 +33,22 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number from 1, line) of a UTF-8 text file, read as text mode
+    reads it (universal newlines, line ends kept).
+
+    Raises:
+        ParseError: naming the file and line of the first byte that is not UTF-8.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(
+                    f"{path}: line {lineno}: byte 0x{byte:02x} is not UTF-8"
+                ) from None
+            yield lineno, line

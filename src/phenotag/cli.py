@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .basevocab import default_vocabulary
 from .corpus import (
     cohen_kappa,
@@ -420,11 +420,7 @@ def _labels_from_file(path: str) -> list[str]:
         for doc in docs:
             out.extend(token_labels(doc))
         return out
-    return [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    return [line.strip() for _, line in read_lines(path) if line.strip()]
 
 
 def cmd_kappa(args) -> int:
@@ -657,7 +653,7 @@ def _apply_config_file(
         raise PhenotagError("--config needs a command to apply to")
     boolean = _boolean_flags(parser, rest[0])
     injected: list[str] = []
-    for raw in Path(config_path).read_text(encoding="utf-8").splitlines():
+    for _, raw in read_lines(config_path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

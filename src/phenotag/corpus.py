@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .errors import ConfigurationError, ParseError, ValidationError
 from .tokenizer import TokenizedText, Vocabulary, basic_tokenize, tokenize
 
@@ -100,26 +100,28 @@ def load_corpus(path: str | Path) -> list[Document]:
     """Read a line-delimited corpus file: one JSON document record per line.
 
     Raises:
-        ParseError: malformed JSON or missing fields, naming the line number.
+        ParseError: bytes that are not UTF-8, malformed JSON or missing fields,
+            naming the line number.
         ValidationError: a span that does not fit its text, naming the doc_id.
     """
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                doc_id = rec["doc_id"]
-                text = rec["text"]
-                spans = [
-                    EntitySpan(int(e["start"]), int(e["end"]), EntityLabel(e["label"]))
-                    for e in rec.get("entities", [])
-                ]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-            docs.append(Document(doc_id, text, spans))
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            doc_id = rec["doc_id"]
+            text = rec["text"]
+            if not (isinstance(doc_id, str) and isinstance(text, str)):
+                raise TypeError("doc_id and text must be strings")
+            spans = [
+                EntitySpan(int(e["start"]), int(e["end"]), EntityLabel(e["label"]))
+                for e in rec.get("entities", [])
+            ]
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+        docs.append(Document(doc_id, text, spans))
     return docs
 
 

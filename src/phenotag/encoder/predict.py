@@ -1,15 +1,34 @@
-"""Inference: per-document entity prediction with overlapping windows."""
+"""Inference: entity spans for a corpus, with windows of equal length batched.
+
+Each sentence is tagged by argmax over its subwords and decoded back to
+character spans. A sentence longer than the model's position budget is cut
+into overlapping windows (stride = half a window), and each piece takes its
+tag from the window whose centre is nearest.
+
+Windows of equal length, from any sentence of any document, are stacked into
+one ``tag_logits`` call of at most ``BATCH_TOKENS`` positions. No row is
+padded and the mask is all ones, so every row attends over exactly its own
+positions, softmax sums keep their length, and each row's logits are the same
+bits as a call with that row alone: batching changes the speed, not the spans.
+
+Sentences are encoded ``CHUNK_SENTENCES`` at a time, so the tokenizations of
+a whole corpus are never held at once.
+"""
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Document, EntitySpan, TAGS, decode_bio, encode_corpus
+from ..corpus import Document, EncodedSentence, EntitySpan, TAGS, decode_bio, encode_corpus
 from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
 from .model import tag_logits
+
+CHUNK_SENTENCES = 512  # sentences encoded and tagged together
+BATCH_TOKENS = 1024  # positions, [CLS] and [SEP] included, per tag_logits call
 
 
 def _windows(n_pieces: int, budget: int, stride: int) -> list[tuple[int, int]]:
@@ -21,44 +40,63 @@ def _windows(n_pieces: int, budget: int, stride: int) -> list[tuple[int, int]]:
     return [(s, s + budget) for s in starts]
 
 
-def predict(
-    ckpt: Checkpoint, document: Document, vocab: Vocabulary
-) -> list[EntitySpan]:
-    """Predict entity spans for one document.
-
-    Each sentence is tokenized and tagged by argmax over word-initial
-    subwords, then decoded back to character spans. Sentences longer than the
-    model's position budget are processed in overlapping windows (stride =
-    half a window); each piece takes its tag from the window whose center is
-    nearest. The vocabulary must be the one the checkpoint was trained with.
-    """
-    ckpt.check_vocab(vocab)
+def _tag_chunk(
+    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[EncodedSentence]
+) -> list[list[int]]:
+    """Tag ids per piece for each sentence of ``chunk``."""
     budget = ckpt.config.max_positions - 2
     stride = max(1, budget // 2)
-    spans: list[EntitySpan] = []
-    for sent in encode_corpus([document], vocab):
-        n = len(sent.ids)
-        best_dist = [float("inf")] * n
-        tag_of = [0] * n
-        for ws, we in _windows(n, budget, stride):
-            ids = np.array(
-                [[vocab.cls_id] + sent.ids[ws:we] + [vocab.sep_id]], dtype=np.int64
-            )
-            mask = np.ones_like(ids, dtype=np.float64)
-            logits = tag_logits(ckpt.params, ckpt.config, ids, mask)[0]
-            window_tags = logits[1 : 1 + (we - ws)].argmax(-1)
-            center = (ws + we - 1) / 2.0
-            for p in range(ws, we):
-                dist = abs(p - center)
-                if dist < best_dist[p]:
-                    best_dist[p] = dist
-                    tag_of[p] = int(window_tags[p - ws])
-        tags = [TAGS[t] for t in tag_of]
-        for span in decode_bio(tags, sent.tokens):
-            spans.append(EntitySpan(
-                span.start_char + sent.offset, span.end_char + sent.offset, span.label
-            ))
-    spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
+    windows = [_windows(len(sent.ids), budget, stride) for sent in chunk]
+    by_length: dict[int, list[tuple[int, int]]] = {}
+    for i, sent_windows in enumerate(windows):
+        for ws, we in sent_windows:
+            by_length.setdefault(we - ws, []).append((i, ws))
+
+    window_tags: dict[tuple[int, int], np.ndarray] = {}
+    for length, keys in by_length.items():
+        rows = max(1, BATCH_TOKENS // (length + 2))
+        for b in range(0, len(keys), rows):
+            batch = keys[b : b + rows]
+            ids = np.empty((len(batch), length + 2), dtype=np.int64)
+            ids[:, 0] = vocab.cls_id
+            ids[:, -1] = vocab.sep_id
+            for row, (i, ws) in zip(ids, batch):
+                row[1:-1] = chunk[i].ids[ws : ws + length]
+            logits = tag_logits(ckpt.params, ckpt.config, ids, np.ones(ids.shape))
+            window_tags.update(zip(batch, logits[:, 1:-1].argmax(-1)))
+
+    tags = []
+    for i, sent_windows in enumerate(windows):
+        n = len(chunk[i].ids)
+        best_dist = np.full(n, np.inf)
+        tag_of = np.zeros(n, dtype=np.int64)
+        for ws, we in sent_windows:
+            dist = np.abs(np.arange(ws, we) - (ws + we - 1) / 2.0)
+            closer = dist < best_dist[ws:we]
+            best_dist[ws:we][closer] = dist[closer]
+            tag_of[ws:we][closer] = window_tags[(i, ws)][closer]
+        tags.append(tag_of.tolist())
+    return tags
+
+
+def predict(
+    ckpt: Checkpoint, docs: Sequence[Document], vocab: Vocabulary
+) -> list[list[EntitySpan]]:
+    """Predict entity spans for each document, sorted by (start, end, label).
+
+    The vocabulary must be the one the checkpoint was trained with.
+    """
+    ckpt.check_vocab(vocab)
+    spans: list[list[EntitySpan]] = [[] for _ in docs]
+    sentences = encode_corpus(docs, vocab)
+    while chunk := list(islice(sentences, CHUNK_SENTENCES)):
+        for sent, tag_ids in zip(chunk, _tag_chunk(ckpt, vocab, chunk)):
+            for span in decode_bio([TAGS[t] for t in tag_ids], sent.tokens):
+                spans[sent.doc].append(EntitySpan(
+                    span.start_char + sent.offset, span.end_char + sent.offset, span.label
+                ))
+    for doc_spans in spans:
+        doc_spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
     return spans
 
 
@@ -67,5 +105,6 @@ def predict_corpus(
 ) -> list[Document]:
     """Predicted copies of the input documents (same ids and text)."""
     return [
-        Document(doc.doc_id, doc.text, predict(ckpt, doc, vocab)) for doc in docs
+        Document(doc.doc_id, doc.text, doc_spans)
+        for doc, doc_spans in zip(docs, predict(ckpt, docs, vocab))
     ]

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_lines
 from .errors import ParseError, ValidationError
 
 PAD = "[PAD]"
@@ -117,23 +117,23 @@ def load_vocab(path: str | Path) -> Vocabulary:
     """Read a vocabulary file: UTF-8, one token per line, id = line order.
 
     Raises:
-        ParseError: on an empty line or a duplicate token, naming line numbers.
+        ParseError: on a byte that is not UTF-8, an empty line or a duplicate
+            token, naming line numbers.
         ValidationError: if a special token is missing.
     """
     tokens: list[str] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            token = raw.rstrip("\n")
-            if not token:
-                raise ParseError(f"{path}: line {lineno}: empty token")
-            if token in seen:
-                raise ParseError(
-                    f"{path}: duplicate token {token!r} on lines "
-                    f"{seen[token]} and {lineno}"
-                )
-            seen[token] = lineno
-            tokens.append(token)
+    for lineno, raw in read_lines(path):
+        token = raw.rstrip("\n")
+        if not token:
+            raise ParseError(f"{path}: line {lineno}: empty token")
+        if token in seen:
+            raise ParseError(
+                f"{path}: duplicate token {token!r} on lines "
+                f"{seen[token]} and {lineno}"
+            )
+        seen[token] = lineno
+        tokens.append(token)
     return Vocabulary(tuple(tokens))
 
 

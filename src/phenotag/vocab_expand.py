@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .atomic import read_lines
 from .corpus import Document, EntityLabel, LABELS
 from .errors import CapacityError, ConfigurationError, ValidationError
 from .tokenizer import MAX_PLACEHOLDER_SLOTS, Vocabulary, basic_tokenize
@@ -147,13 +148,16 @@ def expand_curated(vocab: Vocabulary, wordlist: Sequence[str]) -> Vocabulary:
 
 
 def load_wordlist(path: str | Path) -> list[str]:
-    """Read a wordlist file: one word per line, '#' comment lines ignored."""
+    """Read a wordlist file: one word per line, '#' comment lines ignored.
+
+    Raises:
+        ParseError: on a byte that is not UTF-8, naming the line.
+    """
     words: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                words.append(line)
+    for _, raw in read_lines(path):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            words.append(line)
     return words
 
 

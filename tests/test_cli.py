@@ -168,6 +168,33 @@ class TestExitCodes:
         assert f"{name} must be" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "stats", "predict", "coverage", "build-vocab", "kappa", "--config",
+    ])
+    def test_file_that_is_not_utf8_is_one_line_error(self, tiny_model, tmp_path, capsys,
+                                                     command):
+        # a first line each reader accepts, then a byte no UTF-8 text holds
+        first = {"stats": '{"doc_id": "a", "text": "ok"}',
+                 "predict": '{"doc_id": "a", "text": "ok"}',
+                 "coverage": "[PAD]", "build-vocab": "word", "kappa": "O",
+                 "--config": "# settings"}[command]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(first.encode() + b"\nsecond \xff line\n")
+        out = tmp_path / "out.txt"
+        argv = {
+            "stats": ["stats", "--corpus", bad],
+            "predict": ["predict", "--ckpt", tiny_model["ckpt"], "--vocab",
+                        tiny_model["base"], "--corpus", bad, "--out", out],
+            "coverage": ["coverage", "--corpus", tiny_model["corpus"], "--vocab", f"v={bad}"],
+            "build-vocab": ["build-vocab", "--mode", "curated", "--wordlist", bad,
+                            "--out", out],
+            "kappa": ["kappa", "--a", bad, "--b", bad, "--out", out],
+            "--config": ["--config", bad, "stats", "--corpus", tiny_model["corpus"]],
+        }[command]
+        assert run(*map(str, argv)) == 1
+        assert f"{bad}: line 2: byte 0xff is not UTF-8" in one_line_error(capsys)
+        assert not out.exists()
+
 
 class TestOutputRoot:
     def test_env_var_anchors_relative_outputs(self, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import importlib
 import platform
 import subprocess
 import sys
@@ -10,9 +11,12 @@ from phenotag.basevocab import default_vocabulary
 from phenotag.corpus import (
     IGNORE_ID,
     TAG_TO_ID,
+    TAGS,
     Document,
     EntityLabel,
     EntitySpan,
+    decode_bio,
+    encode_corpus,
     save_corpus,
 )
 from phenotag.encoder import (
@@ -29,7 +33,7 @@ from phenotag.encoder import (
     save_checkpoint,
 )
 from phenotag.encoder import training
-from phenotag.encoder.model import init_params, ner_loss_and_grads
+from phenotag.encoder.model import init_params, ner_loss_and_grads, tag_logits
 from phenotag.errors import ConfigurationError, ValidationError
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import Vocabulary, tokenize
@@ -223,12 +227,12 @@ class TestSentenceCut:
 class TestPredict:
     def test_empty_document(self, small_setup):
         vocab, _, ck = small_setup
-        assert predict(ck, Document("e", "", []), vocab) == []
+        assert predict(ck, [Document("e", "", [])], vocab) == [[]]
 
     def test_deterministic(self, small_setup):
         vocab, docs, ck = small_setup
-        a = predict(ck, docs[0], vocab)
-        b = predict(ck, docs[0], vocab)
+        a = predict(ck, docs[:1], vocab)
+        b = predict(ck, docs[:1], vocab)
         assert a == b
 
     def test_long_sentence_windowing(self):
@@ -237,7 +241,7 @@ class TestPredict:
                              d_ff=32, max_positions=16, seed=0)
         ck = init_model(config, vocab)
         text = " ".join(["her2 positive finding"] * 30)  # far beyond one window
-        spans = predict(ck, Document("long", text, []), vocab)
+        [spans] = predict(ck, [Document("long", text, [])], vocab)
         for s in spans:
             assert 0 <= s.start_char < s.end_char <= len(text)
 
@@ -248,8 +252,8 @@ class TestPredict:
         big = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
                           d_ff=32, max_positions=64, seed=0)
         doc = Document("d", " ".join(["left breast imaging today"] * 5), [])
-        a = predict(init_model(small, vocab), doc, vocab)
-        b = predict(init_model(big, vocab), doc, vocab)
+        [a] = predict(init_model(small, vocab), [doc], vocab)
+        [b] = predict(init_model(big, vocab), [doc], vocab)
         # both run; spans stay in bounds (predictions differ since windows differ)
         for s in a + b:
             assert 0 <= s.start_char < s.end_char <= len(doc.text)
@@ -260,17 +264,148 @@ class TestPredict:
         tokens[vocab.placeholder_ids[0]] = "novelword"
         other = Vocabulary(tuple(tokens))
         with pytest.raises(ValidationError, match="digest"):
-            predict(ck, docs[0], other)
+            predict(ck, docs[:1], other)
         with pytest.raises(ValidationError, match="digest"):
             predict_corpus(ck, docs, other)
         with pytest.raises(ValidationError, match="vocab_size"):
-            predict(ck, docs[0], make_vocab("her"))
+            predict(ck, docs[:1], make_vocab("her"))
 
     def test_predicted_corpus_keeps_ids_and_text(self, small_setup):
         vocab, docs, ck = small_setup
         predicted = predict_corpus(ck, docs, vocab)
         assert [d.doc_id for d in predicted] == [d.doc_id for d in docs]
         assert all(p.text == d.text for p, d in zip(predicted, docs))
+
+
+def _reference_windows(n_pieces, budget, stride):
+    if n_pieces <= budget:
+        return [(0, n_pieces)]
+    starts = list(range(0, n_pieces - budget + 1, stride))
+    if starts[-1] + budget < n_pieces:
+        starts.append(n_pieces - budget)
+    return [(s, s + budget) for s in starts]
+
+
+def _reference_predict(ckpt, docs, vocab):
+    """Prediction as it ran before batching: one tag_logits call per window."""
+    budget = ckpt.config.max_positions - 2
+    stride = max(1, budget // 2)
+    out = [[] for _ in docs]
+    for sent in encode_corpus(docs, vocab):
+        n = len(sent.ids)
+        best_dist = [float("inf")] * n
+        tag_of = [0] * n
+        for ws, we in _reference_windows(n, budget, stride):
+            ids = np.array(
+                [[vocab.cls_id] + sent.ids[ws:we] + [vocab.sep_id]], dtype=np.int64
+            )
+            mask = np.ones_like(ids, dtype=np.float64)
+            logits = tag_logits(ckpt.params, ckpt.config, ids, mask)[0]
+            window_tags = logits[1 : 1 + (we - ws)].argmax(-1)
+            center = (ws + we - 1) / 2.0
+            for p in range(ws, we):
+                dist = abs(p - center)
+                if dist < best_dist[p]:
+                    best_dist[p] = dist
+                    tag_of[p] = int(window_tags[p - ws])
+        for span in decode_bio([TAGS[t] for t in tag_of], sent.tokens):
+            out[sent.doc].append(EntitySpan(
+                span.start_char + sent.offset, span.end_char + sent.offset, span.label
+            ))
+    for spans in out:
+        spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
+    return out
+
+
+# tag_logits on rows stacked at one length against each row alone
+_STACKED_ROWS_CHECK = """
+import numpy as np
+from phenotag.encoder.config import ModelConfig
+from phenotag.encoder.model import init_params, tag_logits
+
+config = ModelConfig(vocab_size=2585)
+params = init_params(config)
+rng = np.random.default_rng(0)
+for length in (3, 17, 64, 128):
+    for rows in (2, 8, 64):
+        ids = rng.integers(5, config.vocab_size, (rows, length))
+        stacked = tag_logits(params, config, ids, np.ones(ids.shape))
+        for r in range(rows):
+            alone = tag_logits(params, config, ids[r : r + 1], np.ones((1, length)))
+            assert np.array_equal(stacked[r : r + 1], alone), (length, rows, r)
+print("equal")
+"""
+
+
+class TestBatchedPrediction:
+    """Windows of equal length are stacked across sentences and documents;
+    the spans are those of one tag_logits call per window."""
+
+    predict_module = importlib.import_module("phenotag.encoder.predict")
+
+    @pytest.fixture(scope="class")
+    def mixed_docs(self):
+        docs = generate_synthetic(11, 60)
+        # every other document merges its sentences, as the infer-mixed corpus does
+        mixed = [
+            Document(d.doc_id, d.text.replace(". ", "; "), list(d.entities))
+            if i % 2 == 0 else d
+            for i, d in enumerate(docs)
+        ]
+        mixed.insert(3, Document("empty", "", []))
+        mixed.append(Document("long", " ".join(["her2 positive left breast"] * 40), []))
+        return mixed
+
+    @staticmethod
+    def model(vocab, max_positions):
+        config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
+                             d_ff=32, max_positions=max_positions, seed=0)
+        return init_model(config, vocab)
+
+    @pytest.mark.parametrize("max_positions, chunk", [
+        (8, None), (16, None), (40, None), (16, 5),
+    ])
+    def test_spans_equal_the_per_window_loop(self, mixed_docs, monkeypatch,
+                                             max_positions, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
+        vocab = default_vocabulary()
+        ck = self.model(vocab, max_positions)
+        expected = _reference_predict(ck, mixed_docs, vocab)
+        assert sum(map(len, expected)) > 0
+        predicted = predict_corpus(ck, mixed_docs, vocab)
+        assert [d.entities for d in predicted] == expected
+
+    def test_fewer_calls_than_windows_and_one_row_per_window(self, mixed_docs, monkeypatch):
+        vocab = default_vocabulary()
+        ck = self.model(vocab, 16)
+        shapes = []
+        real = self.predict_module.tag_logits
+
+        def counting(params, config, ids, mask):
+            shapes.append(ids.shape)
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", counting)
+        predict_corpus(ck, mixed_docs, vocab)
+        windows = sum(
+            len(_reference_windows(len(sent.ids), 14, 7))
+            for sent in encode_corpus(mixed_docs, vocab)
+        )
+        assert sum(rows for rows, _ in shapes) == windows
+        assert len(shapes) < windows / 4
+        batch_tokens = self.predict_module.BATCH_TOKENS
+        assert all(rows == 1 or rows * length <= batch_tokens for rows, length in shapes)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stacked_rows_equal_one_row_calls(self, threads):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STACKED_ROWS_CHECK],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "equal"
 
 
 class TestMaskedAccuracy:

@@ -1,0 +1,176 @@
+"""Property tests: offsets, the BIO round trip, and loaders fed mutated bytes.
+
+Examples are derandomized, so a run repeats exactly and a failure is not
+a matter of luck.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from phenotag.basevocab import default_vocabulary
+from phenotag.corpus import (
+    LABELS,
+    EntitySpan,
+    decode_bio,
+    encode_bio,
+    load_corpus,
+    save_corpus,
+)
+from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from phenotag.errors import PhenotagError
+from phenotag.synthesis import generate_synthetic
+from phenotag.tokenizer import (
+    CONTINUATION_MARKER,
+    UNK,
+    basic_tokenize,
+    load_vocab,
+    save_vocab,
+    tokenize,
+)
+
+VOCAB = default_vocabulary()
+DETERMINISTIC = settings(derandomize=True, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+# letters, digits and the characters basic_tokenize treats specially, plus a
+# few whose lowercase form has another length ("İ") or that no piece covers
+texts = st.lists(
+    st.sampled_from(list("aehilnoprstvx2.-,;() \t\nİßéΩ") + ["her2", "er ", "1.5"]),
+    max_size=40,
+).map("".join) | st.text(max_size=30)
+
+WORDS = ["her2", "positive", "left", "breast", "er", "-", "1.5", "xqzw", "carcinoma", "(",
+         "İstanbul"]
+
+
+class TestOffsets:
+    @DETERMINISTIC
+    @given(texts)
+    def test_basic_tokenize_offsets_slice_each_word_out(self, text):
+        prev_end = 0
+        for word, start, end in basic_tokenize(text):
+            assert prev_end <= start < end
+            assert text[start:end].lower() == word
+            assert not any(ch.isspace() for ch in text[start:end])
+            prev_end = end
+
+    @DETERMINISTIC
+    @given(texts)
+    def test_tokenize_offsets_slice_each_piece_out(self, text):
+        words = basic_tokenize(text)
+        tk = tokenize(text, VOCAB)
+        assert sorted(tk.word_ranges().items()) == [
+            (w, (s, e)) for w, (_, s, e) in enumerate(words)
+        ]
+        for piece, (s, e), w, cont in zip(tk.pieces, tk.offsets, tk.word_index,
+                                          tk.is_continuation):
+            word, ws, we = words[w]
+            if piece == UNK or len(word) != we - ws:
+                assert (s, e) == (ws, we)
+            else:
+                surface = piece[len(CONTINUATION_MARKER):] if cont else piece
+                assert text[s:e].lower() == surface
+
+
+@st.composite
+def annotated_texts(draw):
+    """A text of known words with whole-word, non-overlapping entities."""
+    text = " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=25)))
+    words = basic_tokenize(text)
+    spans = []
+    i = 0
+    while i < len(words):
+        length = draw(st.integers(0, 3))
+        if length:
+            last = min(i + length, len(words)) - 1
+            label = draw(st.sampled_from(LABELS))
+            spans.append(EntitySpan(words[i][1], words[last][2], label))
+            i = last + 1
+        else:
+            i += 1
+    return text, spans
+
+
+class TestBioRoundTrip:
+    @DETERMINISTIC
+    @given(annotated_texts())
+    def test_encode_then_decode_gives_the_spans_back(self, case):
+        text, spans = case
+        tk = tokenize(text, VOCAB)
+        assert decode_bio(encode_bio(tk, spans), tk) == spans
+
+
+def mutations(size):
+    """Byte edits of a file of ``size`` bytes: overwrites, then a cut or not."""
+    edit = st.tuples(st.integers(0, max(size - 1, 0)), st.integers(0, 255))
+    return st.tuples(st.lists(edit, min_size=1, max_size=8),
+                     st.none() | st.integers(0, size))
+
+
+def mutate(data: bytes, mutation) -> bytes:
+    edits, cut = mutation
+    out = bytearray(data)
+    for pos, byte in edits:
+        out[pos] = byte
+    return bytes(out[:cut] if cut is not None else out)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    save_corpus(generate_synthetic(2, 3), root / "c.jsonl")
+    save_vocab(VOCAB, root / "v.txt")
+    config = ModelConfig(vocab_size=len(VOCAB), n_layers=1, d_model=8, n_heads=2,
+                         d_ff=8, max_positions=8)
+    save_checkpoint(init_model(config, VOCAB), root / "m.ckpt")
+    return root
+
+
+class TestLoadersOnMutatedBytes:
+    """A damaged file gives a PhenotagError (a one-line error at the CLI) or
+    loads; it never escapes as another exception."""
+
+    @pytest.mark.parametrize("name, load", [
+        ("c.jsonl", load_corpus),
+        ("v.txt", load_vocab),
+        ("m.ckpt", load_checkpoint),
+    ])
+    def test_only_phenotag_errors(self, valid_files, name, load):
+        data = (valid_files / name).read_bytes()
+        target = valid_files / f"mutated.{name}"
+
+        @settings(DETERMINISTIC, max_examples=300)
+        @given(mutations(len(data)))
+        def check(mutation):
+            Path(target).write_bytes(mutate(data, mutation))
+            try:
+                load(target)
+            except PhenotagError:
+                pass
+
+        check()
+
+    def test_corpus_with_non_string_text_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"doc_id": "a", "text": 5, "entities": '
+                       '[{"start": 0, "end": 1, "label": "CancerLaterality"}]}\n',
+                       encoding="utf-8")
+        with pytest.raises(PhenotagError, match="line 1"):
+            load_corpus(bad)
+
+    def test_corpus_with_infinite_offset_is_a_parse_error(self, tmp_path):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"doc_id": "a", "text": "ab", "entities": '
+                       '[{"start": 1e999, "end": 1, "label": "CancerLaterality"}]}\n',
+                       encoding="utf-8")
+        with pytest.raises(PhenotagError, match="line 1"):
+            load_corpus(bad)
+
+
+def test_unmutated_files_load(valid_files):
+    assert len(load_corpus(valid_files / "c.jsonl")) == 3
+    assert load_vocab(valid_files / "v.txt") == VOCAB
+    assert load_checkpoint(valid_files / "m.ckpt").config.max_positions == 8
