@@ -11,7 +11,6 @@ from .corpus import (
     EntityLabel,
     EntitySpan,
     LABELS,
-    TagSequence,
     cohen_kappa,
     corpus_stats,
     decode_bio,

@@ -75,6 +75,13 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _print_table(args: argparse.Namespace, table: str) -> None:
+    """Print a command's table and, given --out, write the same text there."""
+    print(table, end="")
+    if args.out:
+        _write_text(_out_path(args.out), table)
+
+
 def _echo_config(args: argparse.Namespace, out: Path) -> None:
     skip = {"func", "config", "command"}
     resolved = {k: str(v) for k, v in vars(args).items() if k not in skip}
@@ -114,18 +121,11 @@ def cmd_synth(args) -> int:
         )
     else:
         print(f"wrote {len(corpus)} documents to {out}")
-    _echo_config(args, out)
     return 0
 
 
 def cmd_stats(args) -> int:
-    corpus = load_corpus(args.corpus)
-    table = format_stats(corpus_stats(corpus))
-    print(table, end="")
-    if args.out:
-        out = _out_path(args.out)
-        _write_text(out, table)
-        _echo_config(args, out)
+    _print_table(args, format_stats(corpus_stats(load_corpus(args.corpus))))
     return 0
 
 
@@ -157,7 +157,6 @@ def cmd_build_vocab(args) -> int:
         f"wrote vocabulary of {len(vocab)} tokens "
         f"({len(vocab.rewritten_ids)} slots rewritten) to {out}"
     )
-    _echo_config(args, out)
     return 0
 
 
@@ -169,12 +168,7 @@ def cmd_coverage(args) -> int:
         if not path:
             name, path = Path(spec).stem, spec
         reports[name] = coverage(_load_vocab_arg(path), corpus)
-    table = format_coverage_table(reports)
-    print(table, end="")
-    if args.out:
-        out = _out_path(args.out)
-        _write_text(out, table)
-        _echo_config(args, out)
+    _print_table(args, format_coverage_table(reports))
     return 0
 
 
@@ -195,12 +189,7 @@ def cmd_tokenize(args) -> int:
         ):
             lines.append(f"{piece}\t{s}\t{e}\t{w}\t{int(cont)}")
         lines.append("")
-    output = "\n".join(lines).rstrip("\n") + "\n"
-    print(output, end="")
-    if args.out:
-        out = _out_path(args.out)
-        _write_text(out, output)
-        _echo_config(args, out)
+    _print_table(args, "\n".join(lines).rstrip("\n") + "\n")
     return 0
 
 
@@ -254,7 +243,6 @@ def cmd_pretrain(args) -> int:
         else "no steps run"
     )
     print(f"pre-trained {args.steps} steps ({summary}); checkpoint at {out}")
-    _echo_config(args, out)
     return 0
 
 
@@ -271,7 +259,6 @@ def cmd_resize(args) -> int:
         1 for a, b in zip(old_vocab.tokens, new_vocab.tokens) if a != b
     )
     print(f"re-initialized {changed} embedding rows (subword-mean); wrote {out}")
-    _echo_config(args, out)
     return 0
 
 
@@ -305,7 +292,6 @@ def cmd_finetune(args) -> int:
         else "no epochs run"
     )
     print(f"fine-tuned {args.epochs} epochs ({summary}); checkpoint at {out}")
-    _echo_config(args, out)
     return 0
 
 
@@ -320,7 +306,6 @@ def cmd_predict(args) -> int:
     save_corpus(predicted, out)
     n_spans = sum(len(d.entities) for d in predicted)
     print(f"predicted {n_spans} spans over {len(docs)} documents; wrote {out}")
-    _echo_config(args, out)
     return 0
 
 
@@ -328,27 +313,18 @@ def cmd_evaluate(args) -> int:
     gold = load_corpus(args.gold)
     pred = load_corpus(args.pred)
     report = score(gold, pred)
-    table = format_match_report(report)
-    print(table, end="")
-    out = _out_path(args.out)
-    _write_text(out, table)
+    _print_table(args, format_match_report(report))
     _write_text(
-        out.with_suffix(".json"),
+        _out_path(args.out).with_suffix(".json"),
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
     )
-    _echo_config(args, out)
     return 0
 
 
 def cmd_errors(args) -> int:
     gold = load_corpus(args.gold)
     pred = load_corpus(args.pred)
-    table = format_error_table(categorize_errors(gold, pred))
-    print(table, end="")
-    if args.out:
-        out = _out_path(args.out)
-        _write_text(out, table)
-        _echo_config(args, out)
+    _print_table(args, format_error_table(categorize_errors(gold, pred)))
     return 0
 
 
@@ -368,11 +344,7 @@ def cmd_aggregate(args) -> int:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{p}: not a match report: {exc!r}") from None
         groups[name] = aggregate_runs(reports, confidence=args.confidence)
-    table = format_aggregate_table(groups)
-    print(table, end="")
-    out = _out_path(args.out)
-    _write_text(out, table)
-    _echo_config(args, out)
+    _print_table(args, format_aggregate_table(groups))
     return 0
 
 
@@ -409,7 +381,6 @@ def cmd_tsne(args) -> int:
         f"projected {len(tokens)} tokens (KL {kl_trace[0]:.3f} -> "
         f"{kl_trace[-1]:.3f}); wrote {out}"
     )
-    _echo_config(args, out)
     return 0
 
 
@@ -429,26 +400,15 @@ def cmd_kappa(args) -> int:
     kappa = cohen_kappa(labels_a, labels_b)
     print(f"kappa\t{kappa:.4f}")
     if args.out:
-        out = _out_path(args.out)
-        _write_text(out, f"kappa\t{kappa:.6f}\n")
-        _echo_config(args, out)
+        _write_text(_out_path(args.out), f"kappa\t{kappa:.6f}\n")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    from .encoder import ModelConfig, grad_check
+    from .encoder import grad_check
 
-    config = ModelConfig(
-        vocab_size=args.vocab_size,
-        n_layers=args.layers,
-        d_model=args.d_model,
-        n_heads=args.n_heads,
-        d_ff=args.d_ff,
-        max_positions=args.max_positions,
-        seed=args.seed,
-    )
     result = grad_check(
-        config,
+        _model_config(args, args.vocab_size),
         epsilon=args.epsilon,
         coords_per_tensor=args.coords,
         seed=args.seed,
@@ -456,11 +416,7 @@ def cmd_gradcheck(args) -> int:
     lines = [f"max_rel_error\t{result.max_rel_error:.3e}"]
     worst = sorted(result.per_tensor.items(), key=lambda kv: -kv[1])[:5]
     lines.extend(f"{name}\t{err:.3e}" for name, err in worst)
-    print("\n".join(lines))
-    if args.out:
-        out = _out_path(args.out)
-        _write_text(out, "\n".join(lines) + "\n")
-        _echo_config(args, out)
+    _print_table(args, "\n".join(lines) + "\n")
     if result.max_rel_error > args.tolerance:
         print(
             f"error: gradient check failed ({result.max_rel_error:.3e} > "
@@ -677,7 +633,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(argv, parser)
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        if args.out:
+            _echo_config(args, _out_path(args.out))
+        return code
     except PhenotagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,13 @@
 """Annotated-document data model, BIO codec, corpus statistics, and agreement.
 
 Documents carry character-offset standoff annotations over eight phenotype
-labels. The BIO codec aligns those annotations with a subword tokenization
-(labels live on word-initial pieces; continuations are ignored) and decodes
-tag sequences back into character spans. ``encode_corpus`` is the one place
-where text becomes model ids.
+labels. The BIO codec speaks tag ids, the indices of ``TAGS``, whose layout
+no other module knows: ``encode_bio`` gives one id per subword piece (the
+label lives on a word's first piece; continuations get ``IGNORE_ID``) and
+``decode_bio`` turns ids back into character spans. One word alignment,
+``_align``, serves both the codec and the word-level labels that ``kappa``
+compares, with the same repairs and warnings. ``encode_corpus`` is the one
+place where text becomes model ids.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ class EntityLabel(str, Enum):
 LABELS: tuple[EntityLabel, ...] = tuple(EntityLabel)
 
 OUTSIDE_TAG = "O"
-IGNORE_TAG = "IGNORE"
+#: Tag id of a piece excluded from the loss: a word's continuation subwords.
 IGNORE_ID = -1
 
-#: The 17 trainable tags: O plus B-/I- per label, in declaration order.
+#: The 17 trainable tags: O (id 0), then B- and I- per label in declaration
+#: order, so label k's B- tag is id 2k + 1 and its I- tag id 2k + 2.
 TAGS: tuple[str, ...] = (OUTSIDE_TAG,) + tuple(
     f"{prefix}-{label.value}" for label in LABELS for prefix in ("B", "I")
 )
@@ -96,12 +100,18 @@ class Document:
         return self.text[span.start_char : span.end_char]
 
 
+def _offset(value: object) -> int:
+    if type(value) is not int:  # a bool is an int too, a float or string is not
+        raise TypeError(f"span offset must be an integer, not {value!r}")
+    return value
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Read a line-delimited corpus file: one JSON document record per line.
 
     Raises:
-        ParseError: bytes that are not UTF-8, malformed JSON or missing fields,
-            naming the line number.
+        ParseError: bytes that are not UTF-8, malformed JSON, missing fields
+            or a span offset that is not an integer, naming the line number.
         ValidationError: a span that does not fit its text, naming the doc_id.
     """
     docs: list[Document] = []
@@ -116,10 +126,10 @@ def load_corpus(path: str | Path) -> list[Document]:
             if not (isinstance(doc_id, str) and isinstance(text, str)):
                 raise TypeError("doc_id and text must be strings")
             spans = [
-                EntitySpan(int(e["start"]), int(e["end"]), EntityLabel(e["label"]))
+                EntitySpan(_offset(e["start"]), _offset(e["end"]), EntityLabel(e["label"]))
                 for e in rec.get("entities", [])
             ]
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         docs.append(Document(doc_id, text, spans))
     return docs
@@ -245,42 +255,20 @@ def format_stats(stats: CorpusStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TagSequence:
-    """One tag per tokenized piece; IGNORE marks positions excluded from loss."""
+def _align(
+    ranges: Sequence[tuple[int, int]], entities: Sequence[EntitySpan]
+) -> list[int]:
+    """One tag id per word, given each word's (start, end) character range.
 
-    tags: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for tag in self.tags:
-            if tag != IGNORE_TAG and tag not in TAG_TO_ID:
-                raise ValidationError(f"unknown tag {tag!r}")
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def __iter__(self):
-        return iter(self.tags)
-
-
-def encode_bio(
-    tokenized: TokenizedText, entities: Sequence[EntitySpan]
-) -> TagSequence:
-    """Align entity spans to a tokenization as BIO tags over pieces.
-
-    The first subword of an entity's first word gets B-label, first subwords
-    of its remaining words get I-label; continuation subwords get IGNORE;
-    every other word-initial subword gets O.
-
-    An entity boundary falling strictly inside a word widens the span to the
-    enclosing word(s) and logs a warning.
+    An entity's first word gets its B- tag and its remaining words the I- tag;
+    every other word gets O. An entity boundary falling strictly inside a word
+    widens the span to the enclosing word(s); an entity that covers no word or
+    overlaps an earlier one is skipped. Each repair logs a warning.
     """
-    ranges = tokenized.word_ranges()
-    word_tags: dict[int, str] = {}
+    tags = [0] * len(ranges)  # TAGS[0] is O
     for span in sorted(entities, key=lambda s: (s.start_char, s.end_char)):
         words = [
-            w
-            for w, (ws, we) in ranges.items()
+            w for w, (ws, we) in enumerate(ranges)
             if ws < span.end_char and span.start_char < we
         ]
         if not words:
@@ -289,7 +277,6 @@ def encode_bio(
                 span.start_char, span.end_char, span.label.value,
             )
             continue
-        words.sort()
         first, last = words[0], words[-1]
         if span.start_char > ranges[first][0] or span.end_char < ranges[last][1]:
             logger.warning(
@@ -297,35 +284,41 @@ def encode_bio(
                 span.start_char, span.end_char, span.label.value,
                 ranges[first][0], ranges[last][1],
             )
-        if any(w in word_tags for w in words):
+        if any(tags[w] for w in words):
             logger.warning(
                 "entity (%d, %d, %s) overlaps an earlier entity; skipped",
                 span.start_char, span.end_char, span.label.value,
             )
             continue
-        word_tags[first] = f"B-{span.label.value}"
+        tags[first] = TAG_TO_ID[f"B-{span.label.value}"]
         for w in words[1:]:
-            word_tags[w] = f"I-{span.label.value}"
-    tags = (
-        IGNORE_TAG if cont else word_tags.get(w, OUTSIDE_TAG)
+            tags[w] = TAG_TO_ID[f"I-{span.label.value}"]
+    return tags
+
+
+def encode_bio(tokenized: TokenizedText, entities: Sequence[EntitySpan]) -> list[int]:
+    """Align entity spans to a tokenization as one BIO tag id per piece.
+
+    Each word's first subword carries the word's tag (see ``_align``);
+    continuation subwords get ``IGNORE_ID``.
+    """
+    word_tags = _align(list(tokenized.word_ranges().values()), entities)
+    return [
+        IGNORE_ID if cont else word_tags[w]
         for w, cont in zip(tokenized.word_index, tokenized.is_continuation)
-    )
-    return TagSequence(tuple(tags))
+    ]
 
 
-def decode_bio(
-    tags: TagSequence | Sequence[str], tokenized: TokenizedText
-) -> list[EntitySpan]:
-    """Turn a tag sequence back into character spans.
+def decode_bio(tag_ids: Sequence[int], tokenized: TokenizedText) -> list[EntitySpan]:
+    """Turn one tag id per piece back into character spans.
 
     Maximal runs of B-X (I-X)* over word-initial positions become one span
     covering [start of first word, end of last word]. An orphan I-X (no open
     run of the same label) is repaired to B-X.
     """
-    tag_list = list(tags)
-    if len(tag_list) != len(tokenized):
+    if len(tag_ids) != len(tokenized):
         raise ValidationError(
-            f"tag count {len(tag_list)} does not match piece count {len(tokenized)}"
+            f"tag count {len(tag_ids)} does not match piece count {len(tokenized)}"
         )
     ranges = tokenized.word_ranges()
     spans: list[EntitySpan] = []
@@ -339,51 +332,28 @@ def decode_bio(
             spans.append(EntitySpan(open_start, open_end, open_label))
             open_label = None
 
-    for tag, w, cont in zip(tag_list, tokenized.word_index, tokenized.is_continuation):
+    for t, w, cont in zip(tag_ids, tokenized.word_index, tokenized.is_continuation):
         if cont:
             continue
         ws, we = ranges[w]
-        if tag == IGNORE_TAG or tag == OUTSIDE_TAG:
+        if t <= 0:  # O or IGNORE_ID
             close()
             continue
-        prefix, _, name = tag.partition("-")
-        label = EntityLabel(name)
-        if prefix == "I" and open_label == label:
+        label = LABELS[(t - 1) // 2]
+        if t % 2 == 0 and open_label == label:  # I- continuing its own run
             open_end = we
-        elif prefix in ("B", "I"):
+        else:
             close()
             open_label, open_start, open_end = label, ws, we
-        else:
-            raise ValidationError(f"unknown tag {tag!r}")
     close()
     spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
     return spans
 
 
-def word_level_tags(
-    words: Sequence[tuple[str, int, int]], entities: Sequence[EntitySpan]
-) -> list[str]:
-    """BIO tags over whole words (used for token labels)."""
-    tags = [OUTSIDE_TAG] * len(words)
-    for span in sorted(entities, key=lambda s: (s.start_char, s.end_char)):
-        hit = [
-            i
-            for i, (_, ws, we) in enumerate(words)
-            if ws < span.end_char and span.start_char < we
-        ]
-        if not hit or any(tags[i] != OUTSIDE_TAG for i in hit):
-            continue
-        tags[hit[0]] = f"B-{span.label.value}"
-        for i in hit[1:]:
-            tags[i] = f"I-{span.label.value}"
-    return tags
-
-
 def token_labels(doc: Document) -> list[str]:
     """Word-level label (entity name or O) per token of the document."""
-    words = basic_tokenize(doc.text)
-    tags = word_level_tags(words, doc.entities)
-    return [t.partition("-")[2] if t != OUTSIDE_TAG else OUTSIDE_TAG for t in tags]
+    tags = _align([(s, e) for _, s, e in basic_tokenize(doc.text)], doc.entities)
+    return [LABELS[(t - 1) // 2].value if t else OUTSIDE_TAG for t in tags]
 
 
 def cohen_kappa(labels_a: Sequence[str], labels_b: Sequence[str]) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Document, EncodedSentence, EntitySpan, TAGS, decode_bio, encode_corpus
+from ..corpus import Document, EncodedSentence, EntitySpan, decode_bio, encode_corpus
 from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
 from .model import tag_logits
@@ -91,7 +91,7 @@ def predict(
     sentences = encode_corpus(docs, vocab)
     while chunk := list(islice(sentences, CHUNK_SENTENCES)):
         for sent, tag_ids in zip(chunk, _tag_chunk(ckpt, vocab, chunk)):
-            for span in decode_bio([TAGS[t] for t in tag_ids], sent.tokens):
+            for span in decode_bio(tag_ids, sent.tokens):
                 spans[sent.doc].append(EntitySpan(
                     span.start_char + sent.offset, span.end_char + sent.offset, span.label
                 ))

@@ -15,15 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import (
-    Document,
-    EntitySpan,
-    IGNORE_ID,
-    IGNORE_TAG,
-    TAG_TO_ID,
-    encode_bio,
-    encode_corpus,
-)
+from ..corpus import Document, EntitySpan, IGNORE_ID, encode_bio, encode_corpus
 from ..errors import ConfigurationError, TrainingError, ValidationError
 from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
@@ -263,13 +255,9 @@ def _ner_examples(
             for s in docs[sent.doc].entities
             if s.start_char < end and s.end_char > off
         ]
-        tag_ids = [
-            IGNORE_ID if t == IGNORE_TAG else TAG_TO_ID[t]
-            for t in encode_bio(sent.tokens, local)
-        ]
         examples.append((
             _bracket(sent.ids, vocab.cls_id, vocab.sep_id, max_positions),
-            _bracket(tag_ids, IGNORE_ID, IGNORE_ID, max_positions),
+            _bracket(encode_bio(sent.tokens, local), IGNORE_ID, IGNORE_ID, max_positions),
         ))
     return examples
 

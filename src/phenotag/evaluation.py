@@ -139,14 +139,40 @@ class MatchReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatchReport":
+        """Inverse of ``to_dict``; a report read from a file is outside input.
+
+        Raises:
+            ValueError: no labels, a repeated label, or counts that are not
+                three non-negative integers.
+        """
         labels = tuple(EntityLabel(v) for v in d["labels"])
+        if not labels or len(set(labels)) != len(labels):
+            raise ValueError(f"labels must be distinct and non-empty: {d['labels']!r}")
         reports = {}
         for mode in MODES:
-            per_label = {
-                l: ClassMetrics(*d[mode][l.value]) for l in labels
-            }
+            per_label = {}
+            for l in labels:
+                counts = d[mode][l.value]
+                if len(counts) != 3 or not all(type(c) is int and c >= 0 for c in counts):
+                    raise ValueError(
+                        f"{mode} {l.value}: counts must be three non-negative "
+                        f"integers, not {counts!r}"
+                    )
+                per_label[l] = ClassMetrics(*counts)
             reports[mode] = ModeReport(per_label, labels)
         return cls(exact=reports["exact"], lenient=reports["lenient"])
+
+
+def _by_id(
+    gold_docs: Sequence[Document], pred_docs: Sequence[Document]
+) -> tuple[dict[str, Document], dict[str, Document]]:
+    """Gold and predicted documents by doc_id; both must hold the same ids."""
+    gold_by_id = {d.doc_id: d for d in gold_docs}
+    pred_by_id = {d.doc_id: d for d in pred_docs}
+    if set(gold_by_id) != set(pred_by_id):
+        diff = sorted(set(gold_by_id) ^ set(pred_by_id))
+        raise ValidationError(f"gold/predicted doc_id mismatch: {diff}")
+    return gold_by_id, pred_by_id
 
 
 def score(
@@ -159,11 +185,7 @@ def score(
     Macro F1 averages over the configured label set (a label absent from the
     data contributes an F1 of 0); micro F1 comes from globally summed counts.
     """
-    gold_by_id = {d.doc_id: d for d in gold_docs}
-    pred_by_id = {d.doc_id: d for d in pred_docs}
-    if set(gold_by_id) != set(pred_by_id):
-        diff = sorted(set(gold_by_id) ^ set(pred_by_id))
-        raise ValidationError(f"gold/predicted doc_id mismatch: {diff}")
+    gold_by_id, pred_by_id = _by_id(gold_docs, pred_docs)
     label_tuple = tuple(labels)
     reports: dict[str, ModeReport] = {}
     for mode in MODES:
@@ -250,8 +272,10 @@ def aggregate_runs(
     """
     if not reports:
         raise ValidationError("cannot aggregate an empty list of reports")
-    metrics: dict[str, MetricStats] = {}
     labels = reports[0].exact.labels
+    if any(set(r.exact.labels) != set(labels) for r in reports):
+        raise ValidationError("cannot aggregate reports over different label sets")
+    metrics: dict[str, MetricStats] = {}
     for mode in MODES:
         metrics[f"{mode}.macro_f1"] = aggregate_values(
             [r.mode(mode).macro_f1 for r in reports], confidence
@@ -276,21 +300,25 @@ def _agg_cell(agg: RunAggregate, key: str) -> str:
 def format_aggregate_table(groups: Mapping[str, RunAggregate]) -> str:
     """Side-by-side aggregate table, one column per model/run group.
 
-    Rows follow the usual layout: per-entity F1 (lenient in parentheses),
-    then macro and micro rows with confidence intervals.
+    Rows follow the usual layout: per-entity F1 (lenient in parentheses) for
+    the reports' own labels, then macro and micro rows with confidence
+    intervals.
     """
     if not groups:
         raise ValidationError("no aggregates to format")
     names = list(groups)
-    labels = LABELS
+    first = groups[names[0]].metrics
+    if any(set(groups[n].metrics) != set(first) for n in names):
+        raise ValidationError("cannot tabulate groups over different label sets")
+    labels = [k.removeprefix("exact.f1.") for k in first if k.startswith("exact.f1.")]
     lines = ["entity_type\t" + "\t".join(names)]
     for label in labels:
         cells = []
         for n in names:
-            e = groups[n].metrics[f"exact.f1.{label.value}"]
-            l = groups[n].metrics[f"lenient.f1.{label.value}"]
+            e = groups[n].metrics[f"exact.f1.{label}"]
+            l = groups[n].metrics[f"lenient.f1.{label}"]
             cells.append(f"{e.mean:.3f} ({l.mean:.3f})")
-        lines.append(label.value + "\t" + "\t".join(cells))
+        lines.append(label + "\t" + "\t".join(cells))
     for metric, title in (("macro_f1", "Macro average"), ("micro_f1", "Micro average")):
         cells = []
         for n in names:
@@ -341,11 +369,7 @@ def categorize_errors(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> ErrorBreakdown:
     """Assign every false negative and false positive to one error category."""
-    gold_by_id = {d.doc_id: d for d in gold_docs}
-    pred_by_id = {d.doc_id: d for d in pred_docs}
-    if set(gold_by_id) != set(pred_by_id):
-        diff = sorted(set(gold_by_id) ^ set(pred_by_id))
-        raise ValidationError(f"gold/predicted doc_id mismatch: {diff}")
+    gold_by_id, pred_by_id = _by_id(gold_docs, pred_docs)
     out = ErrorBreakdown()
     for doc_id in sorted(gold_by_id):
         gold = gold_by_id[doc_id].entities
@@ -364,11 +388,8 @@ def categorize_errors(
             ]
             if confused:
                 out.type_confusion.append(ErrorCase(doc_id, g, confused[0]))
-            elif not any(p.overlaps(g) for p in pred):
-                out.missing.append(ErrorCase(doc_id, g, None))
             else:
-                # same-label overlap already consumed by another gold span:
-                # count the unmet gold as missing
+                # no overlap at all, or a same-label one another gold consumed
                 out.missing.append(ErrorCase(doc_id, g, None))
         for p in pred:
             if id(p) in matched_pred:

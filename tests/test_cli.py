@@ -15,6 +15,17 @@ def run(*argv):
     return main(list(argv))
 
 
+def write_report(path, labels, count=1):
+    """A match report file as evaluate writes it, the same counts per label."""
+    counts = {label: [count, 0, 1] for label in labels}
+    path.write_text(json.dumps({"labels": labels, "exact": counts, "lenient": counts}),
+                    encoding="utf-8")
+    return path
+
+
+ALL_LABELS = [label.value for label in EntityLabel]
+
+
 class TestSynth:
     def test_deterministic_byte_identical(self, tmp_path):
         a = tmp_path / "a.jsonl"
@@ -86,6 +97,13 @@ class TestEvaluateAndErrors:
         table = capsys.readouterr().out
         assert "Micro average" in table
 
+    def test_aggregate_table_shows_the_reports_labels(self, tmp_path, capsys):
+        report = write_report(tmp_path / "r.json", ["TumorSize"])
+        assert run("aggregate", "--group", f"g={report},{report}",
+                   "--out", str(tmp_path / "a.tsv")) == 0
+        rows = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+        assert rows[:4] == ["entity_type", "TumorSize", "Macro average", "Micro average"]
+
     def test_errors_command(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         run("synth", "--seed", "4", "--docs", "6", "--test-fraction", "0",
@@ -141,7 +159,14 @@ class TestExitCodes:
         assert run("stats", "--corpus", str(tmp_path)) == 1
         assert str(tmp_path) in one_line_error(capsys)
 
-    @pytest.mark.parametrize("content", ["{not json", "{}"])
+    @pytest.mark.parametrize("content", ["{not json", "{}"] + [
+        '{"labels": ["TumorSize"], "exact": {"TumorSize": [%s, 0, 1]}, '
+        '"lenient": {"TumorSize": [1, 0, 1]}}' % count
+        for count in ('"a"', "-1", "1.5", "true")
+    ] + ['{"labels": [], "exact": {}, "lenient": {}}'], ids=[
+        "{not json", "{}", "count-a", "count-minus-1", "count-1.5", "count-true",
+        "no-labels",
+    ])
     def test_bad_report_is_one_line_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
         bad.write_text(content, encoding="utf-8")
@@ -149,6 +174,32 @@ class TestExitCodes:
         assert code == 1
         assert "bad.json: not a match report" in one_line_error(capsys)
         assert not (tmp_path / "a.tsv").exists()
+
+    @pytest.mark.parametrize("groups", [
+        ["g=full.json,size.json"], ["g=size.json,full.json"],
+        ["a=full.json", "b=size.json"],
+    ], ids=["full-first", "size-first", "two-groups"])
+    def test_reports_over_different_labels_are_one_line_error(self, tmp_path, capsys,
+                                                               groups):
+        write_report(tmp_path / "full.json", ALL_LABELS)
+        write_report(tmp_path / "size.json", ["TumorSize"])
+        argv = ["aggregate"]
+        for group in groups:
+            name, _, files = group.partition("=")
+            paths = ",".join(str(tmp_path / f) for f in files.split(","))
+            argv += ["--group", f"{name}={paths}"]
+        assert run(*argv, "--out", str(tmp_path / "a.tsv")) == 1
+        assert "different label sets" in one_line_error(capsys)
+        assert not (tmp_path / "a.tsv").exists()
+
+    def test_span_offset_that_is_not_an_integer_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"doc_id": "a", "text": "left breast"}\n'
+                       '{"doc_id": "b", "text": "left breast", "entities": '
+                       '[{"start": 0.9, "end": "4", "label": "CancerLaterality"}]}\n',
+                       encoding="utf-8")
+        assert run("stats", "--corpus", str(bad)) == 1
+        assert f"{bad}: line 2: span offset must be an integer" in one_line_error(capsys)
 
     @pytest.mark.parametrize("command, flag, value, name", [
         ("pretrain", "--batch-size", "0", "batch_size"),

@@ -9,9 +9,10 @@ from phenotag.corpus import (
     Document,
     EntityLabel,
     EntitySpan,
-    IGNORE_TAG,
+    IGNORE_ID,
     LABELS,
     N_TAGS,
+    TAG_TO_ID,
     TAGS,
     cohen_kappa,
     corpus_stats,
@@ -30,6 +31,9 @@ from phenotag.tokenizer import tokenize
 HRT = EntityLabel.HORMONE_RECEPTOR_TYPE
 TS = EntityLabel.TUMOR_SIZE
 CL = EntityLabel.CANCER_LATERALITY
+O = TAG_TO_ID["O"]
+B_HRT, I_HRT = TAG_TO_ID["B-HormoneReceptorType"], TAG_TO_ID["I-HormoneReceptorType"]
+B_TS, I_TS = TAG_TO_ID["B-TumorSize"], TAG_TO_ID["I-TumorSize"]
 
 
 class TestLabelsAndTags:
@@ -41,6 +45,12 @@ class TestLabelsAndTags:
         assert N_TAGS == 17
         assert TAGS[0] == "O"
         assert "B-HormoneReceptorType" in TAGS and "I-CancerStage" in TAGS
+
+    def test_b_then_i_per_label(self):
+        # decode_bio and token_labels read a label and its prefix off the id
+        for k, label in enumerate(LABELS):
+            assert TAGS[2 * k + 1] == f"B-{label.value}"
+            assert TAGS[2 * k + 2] == f"I-{label.value}"
 
 
 class TestDocumentValidation:
@@ -176,20 +186,20 @@ class TestEncodeBio:
         vocab = make_vocab("her", "##2", "positive")
         tk = tokenize("her2 positive", vocab)
         tags = encode_bio(tk, [EntitySpan(0, 4, HRT)])
-        assert list(tags) == ["B-HormoneReceptorType", IGNORE_TAG, "O"]
+        assert tags == [B_HRT, IGNORE_ID, O]
 
     def test_no_entities_all_o(self):
         vocab = make_vocab("her", "##2", "positive")
         tk = tokenize("her2 positive", vocab)
-        assert list(encode_bio(tk, [])) == ["O", IGNORE_TAG, "O"]
+        assert encode_bio(tk, []) == [O, IGNORE_ID, O]
 
     def test_two_word_span_gets_b_then_i(self, base_vocab):
         text = "estrogen receptor positive"
         tk = tokenize(text, base_vocab)
         tags = encode_bio(tk, [EntitySpan(0, 17, HRT)])
         initial = [t for t, cont in zip(tags, tk.is_continuation) if not cont]
-        assert initial[:2] == ["B-HormoneReceptorType", "I-HormoneReceptorType"]
-        assert initial[2] == "O"
+        assert initial[:2] == [B_HRT, I_HRT]
+        assert initial[2] == O
 
     def test_mid_word_boundary_expands_with_warning(self, base_vocab, caplog):
         text = "her2 positive"
@@ -197,7 +207,7 @@ class TestEncodeBio:
         with caplog.at_level(logging.WARNING):
             tags = encode_bio(tk, [EntitySpan(0, 3, HRT)])  # cuts "her2"
         assert "splits a word" in caplog.text
-        assert list(tags)[0] == "B-HormoneReceptorType"
+        assert tags[0] == B_HRT
         spans = decode_bio(tags, tk)
         assert spans == [EntitySpan(0, 4, HRT)]
 
@@ -212,26 +222,26 @@ class TestDecodeBio:
 
     def test_all_o_empty(self, base_vocab):
         tk = tokenize("her2 positive", base_vocab)
-        tags = ["O" if not c else IGNORE_TAG for c in tk.is_continuation]
+        tags = [O if not c else IGNORE_ID for c in tk.is_continuation]
         assert decode_bio(tags, tk) == []
 
     def test_adjacent_differing_labels_repaired(self):
         vocab = make_vocab("one", "two")
         tk = tokenize("one two", vocab)
-        spans = decode_bio(["B-TumorSize", "I-HormoneReceptorType"], tk)
+        spans = decode_bio([B_TS, I_HRT], tk)
         assert spans == [EntitySpan(0, 3, TS), EntitySpan(4, 7, HRT)]
 
     def test_orphan_i_repaired_to_b(self):
         vocab = make_vocab("one", "two")
         tk = tokenize("one two", vocab)
-        spans = decode_bio(["O", "I-TumorSize"], tk)
+        spans = decode_bio([O, I_TS], tk)
         assert spans == [EntitySpan(4, 7, TS)]
 
     def test_length_mismatch(self):
         vocab = make_vocab("one")
         tk = tokenize("one", vocab)
         with pytest.raises(ValidationError, match="match"):
-            decode_bio(["O", "O"], tk)
+            decode_bio([O, O], tk)
 
 
 class TestCohenKappa:
@@ -295,3 +305,19 @@ class TestConllExport:
     def test_token_labels(self):
         doc = Document("d", "left breast", [EntitySpan(0, 4, CL)])
         assert token_labels(doc) == ["CancerLaterality", "O"]
+
+    def test_token_labels_repair_spans_as_encode_bio_does(self, base_vocab, caplog):
+        # a span cutting a word, one overlapping it, and one covering only
+        # whitespace: the word labels equal the word-initial piece tags
+        doc = Document("d", "left her2 positive  x", [
+            EntitySpan(5, 7, HRT), EntitySpan(6, 18, TS), EntitySpan(18, 20, CL),
+        ])
+        with caplog.at_level(logging.WARNING):
+            labels = token_labels(doc)
+        assert labels == ["O", "HormoneReceptorType", "O", "O"]
+        assert "splits a word" in caplog.text
+        assert "overlaps an earlier entity" in caplog.text
+        assert "covers no token" in caplog.text
+        tk = tokenize(doc.text, base_vocab)
+        tags = [t for t, c in zip(encode_bio(tk, doc.entities), tk.is_continuation) if not c]
+        assert [TAGS[t].partition("-")[2] or "O" for t in tags] == labels

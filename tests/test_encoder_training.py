@@ -11,7 +11,6 @@ from phenotag.basevocab import default_vocabulary
 from phenotag.corpus import (
     IGNORE_ID,
     TAG_TO_ID,
-    TAGS,
     Document,
     EntityLabel,
     EntitySpan,
@@ -308,7 +307,7 @@ def _reference_predict(ckpt, docs, vocab):
                 if dist < best_dist[p]:
                     best_dist[p] = dist
                     tag_of[p] = int(window_tags[p - ws])
-        for span in decode_bio([TAGS[t] for t in tag_of], sent.tokens):
+        for span in decode_bio(tag_of, sent.tokens):
             out[sent.doc].append(EntitySpan(
                 span.start_char + sent.offset, span.end_char + sent.offset, span.label
             ))

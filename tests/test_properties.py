@@ -20,7 +20,7 @@ from phenotag.corpus import (
     save_corpus,
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
-from phenotag.errors import PhenotagError
+from phenotag.errors import ParseError, PhenotagError
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import (
     CONTINUATION_MARKER,
@@ -159,6 +159,18 @@ class TestLoadersOnMutatedBytes:
                        '[{"start": 0, "end": 1, "label": "CancerLaterality"}]}\n',
                        encoding="utf-8")
         with pytest.raises(PhenotagError, match="line 1"):
+            load_corpus(bad)
+
+    @pytest.mark.parametrize("start, end", [
+        ("0.9", '"4"'), ("0", "4.0"), ("false", "1"), ("0", "[4]"),
+    ])
+    def test_corpus_with_non_integer_offset_is_a_parse_error(self, tmp_path, start, end):
+        # int() would load {"start": 0.9, "end": "4"} silently as (0, 4)
+        bad = tmp_path / "c.jsonl"
+        bad.write_text('{"doc_id": "a", "text": "left breast", "entities": '
+                       f'[{{"start": {start}, "end": {end}, "label": "CancerLaterality"}}]}}\n',
+                       encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1: span offset must be an integer"):
             load_corpus(bad)
 
     def test_corpus_with_infinite_offset_is_a_parse_error(self, tmp_path):

@@ -50,6 +50,26 @@ def test_text_becomes_ids_in_one_place():
     }
 
 
+def test_tag_layout_is_known_only_to_the_codec():
+    # encode_bio and decode_bio speak tag ids; which id is B-, I- or O of
+    # which label is corpus.py's business alone.
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found |= {(path.name, n) for n in names if n in ("TAGS", "TAG_TO_ID")}
+    assert not found, sorted(found)
+
+
 def test_every_definition_is_used():
     # A function, method or class that nothing in the package refers to is
     # dead code or exists only for its tests. An import or an ``__all__``
