@@ -18,7 +18,9 @@
 #
 # Each process gets one BLAS thread unless the caller set the count: with two
 # processes on two cores, unpinned OpenBLAS threads contend and the pipeline
-# runs slower than one command at a time.
+# runs slower than one command at a time. predict uses every usable core
+# whatever this pin: its forward calls run on a pool of one thread per CPU
+# and give the same bytes at any pool size.
 #
 # Usage: scripts/pipeline.sh [OUT_DIR]
 # Environment: PHENOTAG_PY (python executable, default python3),

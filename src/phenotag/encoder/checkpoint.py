@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..atomic import atomic_write
-from ..errors import ParseError, ValidationError
+from ..errors import ConfigurationError, ParseError, ValidationError
 from ..tokenizer import UNK, Vocabulary, wordpiece
 from .config import ModelConfig
 from .model import init_params
@@ -128,8 +128,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         meta = json.loads(bytes(meta_bytes).decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
+        config.validate()
         vocab_digest, step = str(meta["vocab_digest"]), int(meta["step"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ConfigurationError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{path}: bad checkpoint metadata: {exc}") from None
     params: dict[str, np.ndarray] = {}
     for _ in range(unpack("<I", "tensor count")):

@@ -30,8 +30,10 @@ class ModelConfig:
             raise ConfigurationError(f"vocab_size must be positive: {self.vocab_size}")
         if self.n_layers < 0:
             raise ConfigurationError(f"n_layers must be >= 0: {self.n_layers}")
-        if self.d_model < 1 or self.d_ff < 1 or self.max_positions < 2:
-            raise ConfigurationError("d_model, d_ff and max_positions must be positive")
+        if self.d_model < 1 or self.d_ff < 1:
+            raise ConfigurationError("d_model and d_ff must be positive")
+        if self.max_positions < 3:  # [CLS], at least one piece, [SEP]
+            raise ConfigurationError(f"max_positions must be >= 3: {self.max_positions}")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise ConfigurationError(
                 f"d_model ({self.d_model}) must be divisible by n_heads "

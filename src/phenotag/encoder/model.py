@@ -14,13 +14,17 @@ are pure: they never mutate their inputs. The private kernels work in place
 on temporaries they allocated themselves, in the operation order of the
 plain expressions, so results are bitwise the same with fewer allocations.
 
-Importing this module sets two glibc ``mallopt`` tunables for the process, so
-the activation memory each training step frees (~23 MB at batch 32 x 40)
+``tag_logits`` runs the training forward's kernels in the same order but
+keeps no backward cache, so a call never holds every layer's activations.
+
+Importing this module sets three glibc ``mallopt`` tunables for the process,
+so the activation memory each training step frees (~23 MB at batch 32 x 40)
 stays in the heap for the next step instead of going back to the OS and
 being page-faulted in again: blocks up to 32 MiB come from the heap, and the
-heap is trimmed only above 64 MiB free. Both are needed, since setting either
-one fixes glibc's dynamic mmap threshold at 128 KiB. Other C libraries are
-left alone.
+heap is trimmed only above 64 MiB free (setting only one of these would fix
+glibc's dynamic mmap threshold at 128 KiB). The third caps malloc at one
+arena, so prediction's worker threads reuse what training freed instead of
+each growing an arena. Other C libraries are left alone.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory() -> None:
@@ -54,6 +59,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 * 1024 * 1024)
     mallopt(_M_TRIM_THRESHOLD, 64 * 1024 * 1024)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_memory()
@@ -204,8 +210,10 @@ def forward_hidden(
     config: ModelConfig,
     ids: np.ndarray,
     mask: np.ndarray,
-) -> tuple[np.ndarray, dict]:
-    """Run the encoder; returns hidden states [B, S, d] and a backward cache."""
+    *,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, dict | None]:
+    """Run the encoder: hidden states [B, S, d] and, if kept, a backward cache."""
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
     b, s = ids.shape
@@ -213,11 +221,11 @@ def forward_hidden(
         raise ConfigurationError(
             f"sequence length {s} exceeds max_positions {config.max_positions}"
         )
-    cache: dict = {"ids": ids, "mask": mask, "config": config, "layers": []}
+    layers: list[dict] = []
 
     e = params["tok_emb"][ids]
     e += params["pos_emb"][:s]
-    h, cache["emb_ln"] = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
+    h, emb_ln = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
 
     key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
     scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
@@ -243,14 +251,14 @@ def forward_hidden(
         f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         f += n1  # residual
         h, ln2 = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
-        cache["layers"].append(
-            {
+        if keep_cache:
+            layers.append({
                 "x": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
                 "ctx": ctx, "ln1": ln1, "n1": n1, "hmid": hmid, "cdf": cdf,
                 "act": act, "ln2": ln2,
-            }
-        )
-    return h, cache
+            })
+    cache = {"ids": ids, "config": config, "emb_ln": emb_ln, "layers": layers}
+    return h, cache if keep_cache else None
 
 
 def backward_hidden(
@@ -391,6 +399,6 @@ def tag_logits(
     ids: np.ndarray,
     mask: np.ndarray,
 ) -> np.ndarray:
-    """Inference-mode tag logits [B, S, n_tags]."""
-    h, _ = forward_hidden(params, config, ids, mask)
+    """Inference-mode tag logits [B, S, n_tags], from the cache-free forward."""
+    h, _ = forward_hidden(params, config, ids, mask, keep_cache=False)
     return _affine(h, params["ner_w"], params["ner_b"])

@@ -12,11 +12,15 @@ positions, softmax sums keep their length, and each row's logits are the same
 bits as a call with that row alone: batching changes the speed, not the spans.
 
 Sentences are encoded ``CHUNK_SENTENCES`` at a time, so the tokenizations of
-a whole corpus are never held at once.
+a whole corpus are never held at once. A chunk's calls run on a pool of one
+thread per usable CPU, whatever the BLAS thread count (numpy and scipy release
+the GIL); results are kept by window, so call order cannot change a bit.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from typing import Sequence
 
@@ -40,8 +44,15 @@ def _windows(n_pieces: int, budget: int, stride: int) -> list[tuple[int, int]]:
     return [(s, s + budget) for s in starts]
 
 
+def _workers() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _tag_chunk(
-    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[EncodedSentence]
+    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[EncodedSentence],
+    pool: ThreadPoolExecutor,
 ) -> list[list[int]]:
     """Tag ids per piece for each sentence of ``chunk``."""
     budget = ckpt.config.max_positions - 2
@@ -52,7 +63,7 @@ def _tag_chunk(
         for ws, we in sent_windows:
             by_length.setdefault(we - ws, []).append((i, ws))
 
-    window_tags: dict[tuple[int, int], np.ndarray] = {}
+    calls = []
     for length, keys in by_length.items():
         rows = max(1, BATCH_TOKENS // (length + 2))
         for b in range(0, len(keys), rows):
@@ -62,8 +73,11 @@ def _tag_chunk(
             ids[:, -1] = vocab.sep_id
             for row, (i, ws) in zip(ids, batch):
                 row[1:-1] = chunk[i].ids[ws : ws + length]
-            logits = tag_logits(ckpt.params, ckpt.config, ids, np.ones(ids.shape))
-            window_tags.update(zip(batch, logits[:, 1:-1].argmax(-1)))
+            calls.append((batch, pool.submit(
+                tag_logits, ckpt.params, ckpt.config, ids, np.ones(ids.shape))))
+    window_tags: dict[tuple[int, int], np.ndarray] = {}
+    for batch, call in calls:
+        window_tags.update(zip(batch, call.result()[:, 1:-1].argmax(-1)))
 
     tags = []
     for i, sent_windows in enumerate(windows):
@@ -89,12 +103,17 @@ def predict(
     ckpt.check_vocab(vocab)
     spans: list[list[EntitySpan]] = [[] for _ in docs]
     sentences = encode_corpus(docs, vocab)
-    while chunk := list(islice(sentences, CHUNK_SENTENCES)):
-        for sent, tag_ids in zip(chunk, _tag_chunk(ckpt, vocab, chunk)):
-            for span in decode_bio(tag_ids, sent.tokens):
-                spans[sent.doc].append(EntitySpan(
-                    span.start_char + sent.offset, span.end_char + sent.offset, span.label
-                ))
+    pool = ThreadPoolExecutor(_workers())
+    try:
+        while chunk := list(islice(sentences, CHUNK_SENTENCES)):
+            for sent, tag_ids in zip(chunk, _tag_chunk(ckpt, vocab, chunk, pool)):
+                for span in decode_bio(tag_ids, sent.tokens):
+                    spans[sent.doc].append(EntitySpan(
+                        span.start_char + sent.offset, span.end_char + sent.offset,
+                        span.label,
+                    ))
+    finally:
+        pool.shutdown(cancel_futures=True)
     for doc_spans in spans:
         doc_spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
     return spans

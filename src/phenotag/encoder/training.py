@@ -224,7 +224,7 @@ def masked_accuracy(
         pos_b, pos_s, labels = _apply_masking(
             seqs, ids, vocab, mask_frac, rng, random_pool
         )
-        h, _ = forward_hidden(ckpt.params, ckpt.config, ids, mask)
+        h, _ = forward_hidden(ckpt.params, ckpt.config, ids, mask, keep_cache=False)
         logits = h[pos_b, pos_s] @ ckpt.params["tok_emb"].T + ckpt.params["mlm_bias"]
         correct += int((logits.argmax(-1) == labels).sum())
         total += len(labels)

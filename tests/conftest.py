@@ -63,15 +63,24 @@ def explode_sentences(docs, limit=None):
     return out
 
 
+def edit_metadata(src: Path, dst: Path, edit) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    metadata dict; the tensors are copied unchanged."""
+    data = Path(src).read_bytes()
+    meta_len = int.from_bytes(data[8:12], "little")
+    meta = json.loads(data[12 : 12 + meta_len])
+    edit(meta)
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    rest = data[12 + meta_len :]
+    Path(dst).write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + rest)
+
+
 def with_removed_settings(src: Path, dst: Path) -> None:
     """Copy checkpoint ``src`` to ``dst``, adding the ``config.dropout_rate``
     and ``optimizer`` metadata keys that checkpoints carried before those
     settings were removed."""
-    data = Path(src).read_bytes()
-    meta_len = int.from_bytes(data[8:12], "little")
-    meta = json.loads(data[12 : 12 + meta_len])
-    meta["config"]["dropout_rate"] = 0.0
-    meta["optimizer"] = "adam"
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    rest = data[12 + meta_len :]
-    Path(dst).write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + rest)
+    def add_removed(meta: dict) -> None:
+        meta["config"]["dropout_rate"] = 0.0
+        meta["optimizer"] = "adam"
+
+    edit_metadata(src, dst, add_removed)

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import itertools
 import json
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 from conftest import child_env, with_removed_settings
 from phenotag.cli import main
 from phenotag.corpus import Document, EntityLabel, EntitySpan, load_corpus, save_corpus
+from phenotag.errors import ConfigurationError
 from phenotag.tokenizer import load_vocab
 
 
@@ -219,6 +222,17 @@ class TestExitCodes:
         assert f"{name} must be" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_max_positions_below_three_is_one_line_error(self, tiny_model, tmp_path,
+                                                         capsys, steps):
+        # two positions hold only [CLS] and [SEP]: no room for a word piece
+        out = tmp_path / "m.ckpt"
+        code = run("pretrain", "--corpus", tiny_model["train"], "--vocab", tiny_model["base"],
+                   "--steps", steps, "--max-positions", "2", "--out", str(out))
+        assert code == 1
+        assert "max_positions must be >= 3" in one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         "stats", "predict", "coverage", "build-vocab", "kappa", "--config",
     ])
@@ -382,6 +396,26 @@ class TestModelCommandFailures:
                    "--epochs", "0", "--out", str(out)) == 0
         assert "fine-tuned 0 epochs (no epochs run)" in capsys.readouterr().out
         assert out.exists()
+
+    def test_error_in_a_pooled_prediction_call_is_one_line_error(self, tiny_model,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+        module = importlib.import_module("phenotag.encoder.predict")
+        real = module.tag_logits
+        started = itertools.count()
+
+        def failing(params, config, ids, mask):
+            if next(started) == 1:
+                raise ConfigurationError("second call failed")
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(module, "tag_logits", failing)
+        out = tmp_path / "pred.jsonl"
+        assert run("predict", "--ckpt", str(tiny_model["ckpt"]), "--vocab",
+                   tiny_model["base"], "--corpus", tiny_model["corpus"],
+                   "--out", str(out)) == 1
+        assert one_line_error(capsys) == "error: second call failed\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "tsne"])
     def test_other_vocabulary_is_one_line_error(self, tiny_model, tmp_path, capsys,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import make_vocab, with_removed_settings
+from conftest import edit_metadata, make_vocab, with_removed_settings
 from phenotag.encoder import (
     Adam,
     Checkpoint,
@@ -24,6 +24,7 @@ from phenotag.encoder.model import (
     _softmax_last,
     forward_hidden,
     init_params,
+    tag_logits,
 )
 from phenotag.errors import ConfigurationError, ParseError, ValidationError
 from phenotag.tokenizer import UNK, wordpiece
@@ -104,6 +105,20 @@ class TestForward:
         a = forward_hidden(ck.params, ck.config, ids, mask)[0]
         b = forward_hidden(ck.params, ck.config, ids, mask)[0]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("length", [3, 64, 128])
+    def test_cache_free_forward_equals_training_forward(self, length):
+        config = ModelConfig(vocab_size=2585)
+        params = init_params(config)
+        rng = np.random.default_rng(length)
+        ids = rng.integers(5, config.vocab_size, (8, length))
+        mask = (np.arange(length) < rng.integers(1, length + 1, (8, 1))).astype(float)
+        trained, cache = forward_hidden(params, config, ids, mask)
+        inferred, none = forward_hidden(params, config, ids, mask, keep_cache=False)
+        assert len(cache["layers"]) == config.n_layers and none is None
+        assert np.array_equal(inferred, trained)
+        expected = trained @ params["ner_w"] + params["ner_b"]
+        assert np.array_equal(tag_logits(params, config, ids, mask), expected)
 
 
 def mixed_normal(rng, *shape):
@@ -235,6 +250,17 @@ class TestCheckpointIO:
             path.write_bytes(blob)
             with pytest.raises(ParseError, match=f"{name}.ckpt"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_positions", 2, "max_positions must be >= 3: 2"),
+        ("n_heads", 0, r"d_model \(16\) must be divisible by n_heads \(0\)"),
+    ], ids=["max_positions-2", "n_heads-0"])
+    def test_metadata_with_invalid_config_rejected(self, tmp_path, key, value, message):
+        src, bad = tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(init_model(TINY), src)
+        edit_metadata(src, bad, lambda meta: meta["config"].update({key: value}))
+        with pytest.raises(ParseError, match=f"bad.ckpt: bad checkpoint metadata: {message}"):
+            load_checkpoint(bad)
 
     def test_metadata_with_removed_settings_rejected(self, tmp_path):
         save_checkpoint(init_model(TINY), tmp_path / "new.ckpt")

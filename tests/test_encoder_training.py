@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import itertools
 import platform
 import subprocess
 import sys
@@ -336,30 +338,31 @@ print("equal")
 """
 
 
+@pytest.fixture(scope="module")
+def mixed_docs():
+    docs = generate_synthetic(11, 60)
+    # every other document merges its sentences, as the infer-mixed corpus does
+    mixed = [
+        Document(d.doc_id, d.text.replace(". ", "; "), list(d.entities))
+        if i % 2 == 0 else d
+        for i, d in enumerate(docs)
+    ]
+    mixed.insert(3, Document("empty", "", []))
+    mixed.append(Document("long", " ".join(["her2 positive left breast"] * 40), []))
+    return mixed
+
+
+def _tiny_model(vocab, max_positions):
+    config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
+                         d_ff=32, max_positions=max_positions, seed=0)
+    return init_model(config, vocab)
+
+
 class TestBatchedPrediction:
     """Windows of equal length are stacked across sentences and documents;
     the spans are those of one tag_logits call per window."""
 
     predict_module = importlib.import_module("phenotag.encoder.predict")
-
-    @pytest.fixture(scope="class")
-    def mixed_docs(self):
-        docs = generate_synthetic(11, 60)
-        # every other document merges its sentences, as the infer-mixed corpus does
-        mixed = [
-            Document(d.doc_id, d.text.replace(". ", "; "), list(d.entities))
-            if i % 2 == 0 else d
-            for i, d in enumerate(docs)
-        ]
-        mixed.insert(3, Document("empty", "", []))
-        mixed.append(Document("long", " ".join(["her2 positive left breast"] * 40), []))
-        return mixed
-
-    @staticmethod
-    def model(vocab, max_positions):
-        config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
-                             d_ff=32, max_positions=max_positions, seed=0)
-        return init_model(config, vocab)
 
     @pytest.mark.parametrize("max_positions, chunk", [
         (8, None), (16, None), (40, None), (16, 5),
@@ -369,7 +372,7 @@ class TestBatchedPrediction:
         if chunk is not None:
             monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
         vocab = default_vocabulary()
-        ck = self.model(vocab, max_positions)
+        ck = _tiny_model(vocab, max_positions)
         expected = _reference_predict(ck, mixed_docs, vocab)
         assert sum(map(len, expected)) > 0
         predicted = predict_corpus(ck, mixed_docs, vocab)
@@ -377,7 +380,7 @@ class TestBatchedPrediction:
 
     def test_fewer_calls_than_windows_and_one_row_per_window(self, mixed_docs, monkeypatch):
         vocab = default_vocabulary()
-        ck = self.model(vocab, 16)
+        ck = _tiny_model(vocab, 16)
         shapes = []
         real = self.predict_module.tag_logits
 
@@ -405,6 +408,126 @@ class TestBatchedPrediction:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "equal"
+
+
+# pooled prediction in a child process: one span digest per pool size
+_POOLED_PREDICT_CHECK = """
+import hashlib, importlib, sys
+from phenotag.basevocab import default_vocabulary
+from phenotag.corpus import load_corpus
+from phenotag.encoder import ModelConfig, init_model, predict
+
+module = importlib.import_module("phenotag.encoder.predict")
+vocab = default_vocabulary()
+ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
+docs = load_corpus(sys.argv[1])
+for workers in (1, 2, 4):
+    module._workers = lambda: workers
+    print(hashlib.sha256(repr(predict(ckpt, docs, vocab)).encode()).hexdigest())
+"""
+
+
+# a fine-tuning step frees its activations; pooled 1,024-position calls follow
+_POOLED_MEMORY_CHECK = """
+import importlib, resource
+import numpy as np
+from phenotag.basevocab import default_vocabulary
+from phenotag.corpus import Document
+from phenotag.encoder import Adam, ModelConfig, init_model, predict
+from phenotag.encoder.model import ner_loss_and_grads
+
+importlib.import_module("phenotag.encoder.predict")._workers = lambda: 2
+vocab = default_vocabulary()
+ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
+rng = np.random.default_rng(0)
+ids = rng.integers(5, len(vocab), (32, 40))
+tags = rng.integers(0, ckpt.config.n_tags, (32, 40))
+_, _, grads = ner_loss_and_grads(ckpt.params, ckpt.config, ids, np.ones(ids.shape), tags)
+Adam(ckpt.params, 1e-3).step(ckpt.params, grads)
+del grads
+docs = [Document(str(i), " ".join(["her2 positive left breast"] * (30 + i)), [])
+        for i in range(24)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+predict(ckpt, docs, vocab)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+class TestPooledPrediction:
+    """A chunk's tag_logits calls run on a thread pool; the spans are those of
+    one call per window, whatever the pool size and BLAS thread count."""
+
+    predict_module = TestBatchedPrediction.predict_module
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_spans_equal_the_per_window_loop(self, mixed_docs, monkeypatch, workers):
+        monkeypatch.setattr(self.predict_module, "_workers", lambda: workers)
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        expected = _reference_predict(ck, mixed_docs, vocab)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads trade the interpreter often
+        try:
+            predicted = predict_corpus(ck, mixed_docs, vocab)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [d.entities for d in predicted] == expected
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_spans_equal_the_per_window_loop_in_a_child(self, mixed_docs, tmp_path, threads):
+        vocab = default_vocabulary()
+        ck = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
+        expected = _reference_predict(ck, mixed_docs, vocab)
+        corpus = tmp_path / "mixed.jsonl"
+        save_corpus(mixed_docs, corpus)
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLED_PREDICT_CHECK, str(corpus)],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(repr(expected).encode()).hexdigest()
+        assert proc.stdout.split() == [digest] * 3
+
+    def test_error_in_a_call_propagates_and_cancels_the_rest(self, mixed_docs,
+                                                                monkeypatch):
+        monkeypatch.setattr(self.predict_module, "BATCH_TOKENS", 32)  # many calls
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        real = self.predict_module.tag_logits
+        every = []
+
+        def counting(params, config, ids, mask):
+            every.append(ids.shape)
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", counting)
+        predict_corpus(ck, mixed_docs, vocab)
+        error = ConfigurationError("second call failed")
+        started = itertools.count()
+
+        def failing(params, config, ids, mask):
+            if next(started) == 1:
+                raise error
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", failing)
+        monkeypatch.setattr(self.predict_module, "_workers", lambda: 2)
+        with pytest.raises(ConfigurationError) as raised:
+            predict_corpus(ck, mixed_docs, vocab)
+        assert raised.value is error
+        assert next(started) < len(every) / 2, len(every)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator tunables are set only under glibc")
+    def test_pooled_calls_reuse_memory_freed_by_training(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLED_MEMORY_CHECK],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 20.0, proc.stdout  # MB
 
 
 class TestMaskedAccuracy:
