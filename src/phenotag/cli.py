@@ -208,13 +208,7 @@ def _model_config(args, vocab_size: int):
 
 
 def cmd_pretrain(args) -> int:
-    from .encoder import (
-        format_trace,
-        init_model,
-        load_checkpoint,
-        pretrain_mlm,
-        save_checkpoint,
-    )
+    from .encoder import init_model, load_checkpoint, pretrain_mlm
 
     vocab = _load_vocab_arg(args.vocab)
     corpus = load_corpus(args.corpus)
@@ -232,17 +226,23 @@ def cmd_pretrain(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    return _finish_training(
+        args, trained, records, f"pre-trained {args.steps}", "steps", "masked accuracy"
+    )
+
+
+def _finish_training(args, trained, records, done: str, unit: str, metric: str) -> int:
+    """Save a trained checkpoint and its optional trace; print one summary line."""
+    from .encoder import format_trace, save_checkpoint
+
     out = _out_path(args.out)
     save_checkpoint(trained, out)
     if args.trace:
         _write_text(_out_path(args.trace), format_trace(records))
-    last = records[-1] if records else None
-    summary = (
-        f"loss {last.loss:.4f}, masked accuracy {last.accuracy:.3f}"
-        if last
-        else "no steps run"
-    )
-    print(f"pre-trained {args.steps} steps ({summary}); checkpoint at {out}")
+    summary = f"no {unit} run"
+    if records:
+        summary = f"loss {records[-1].loss:.4f}, {metric} {records[-1].accuracy:.3f}"
+    print(f"{done} {unit} ({summary}); checkpoint at {out}")
     return 0
 
 
@@ -263,13 +263,7 @@ def cmd_resize(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .encoder import (
-        FinetuneConfig,
-        finetune_ner,
-        format_trace,
-        load_checkpoint,
-        save_checkpoint,
-    )
+    from .encoder import FinetuneConfig, finetune_ner, load_checkpoint
 
     vocab = _load_vocab_arg(args.vocab)
     corpus = load_corpus(args.corpus)
@@ -281,18 +275,9 @@ def cmd_finetune(args) -> int:
         seed=args.seed,
     )
     tuned, records = finetune_ner(ckpt, corpus, vocab, hyper)
-    out = _out_path(args.out)
-    save_checkpoint(tuned, out)
-    if args.trace:
-        _write_text(_out_path(args.trace), format_trace(records))
-    last = records[-1] if records else None
-    summary = (
-        f"loss {last.loss:.4f}, tag accuracy {last.accuracy:.3f}"
-        if last
-        else "no epochs run"
+    return _finish_training(
+        args, tuned, records, f"fine-tuned {args.epochs}", "epochs", "tag accuracy"
     )
-    print(f"fine-tuned {args.epochs} epochs ({summary}); checkpoint at {out}")
-    return 0
 
 
 def cmd_predict(args) -> int:

@@ -20,7 +20,7 @@ from ..atomic import atomic_write
 from ..errors import ConfigurationError, ParseError, ValidationError
 from ..tokenizer import UNK, Vocabulary, wordpiece
 from .config import ModelConfig
-from .model import init_params
+from .model import _param_shapes, init_params
 
 _MAGIC = b"PHTCKPT1"
 
@@ -41,11 +41,6 @@ class Checkpoint:
             vocab_digest=self.vocab_digest,
             step=self.step,
         )
-
-    def validate_finite(self) -> None:
-        for name, tensor in self.params.items():
-            if not np.isfinite(tensor).all():
-                raise ValidationError(f"tensor {name!r} contains non-finite values")
 
     def check_vocab(self, vocab: Vocabulary) -> None:
         """Reject a vocabulary other than the one this model was trained with."""
@@ -103,7 +98,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     Raises:
         ParseError: naming the file, on a wrong magic, a short read, bad
-            metadata, a tensor larger than the bytes left, or trailing bytes.
+            metadata, a tensor larger than the bytes left, trailing bytes, or
+            a tensor name or shape other than the config's.
         ValidationError: if a tensor holds non-finite values.
     """
     buf = memoryview(Path(path).read_bytes())
@@ -146,9 +142,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
     if pos != len(buf):
         raise ParseError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
-    ckpt = Checkpoint(params=params, config=config, vocab_digest=vocab_digest, step=step)
-    ckpt.validate_finite()
-    return ckpt
+    shapes = _param_shapes(config)
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params:
+            raise ParseError(f"{path}: no tensor {name!r}")
+        if name not in shapes:
+            raise ParseError(f"{path}: unexpected tensor {name!r}")
+        if params[name].shape != shapes[name]:
+            raise ParseError(
+                f"{path}: tensor {name!r} has shape {params[name].shape}, "
+                f"its config needs {shapes[name]}"
+            )
+        if not np.isfinite(params[name]).all():
+            raise ValidationError(f"tensor {name!r} contains non-finite values")
+    return Checkpoint(params=params, config=config, vocab_digest=vocab_digest, step=step)
 
 
 def resize_for_vocab(

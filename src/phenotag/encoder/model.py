@@ -65,44 +65,38 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's name and shape, in the order ``init_params`` draws them."""
+    d, dff, v, t = config.d_model, config.d_ff, config.vocab_size, config.n_tags
+    layer = {
+        "attn_wq": (d, d), "attn_bq": (d,), "attn_wk": (d, d), "attn_bk": (d,),
+        "attn_wv": (d, d), "attn_bv": (d,), "attn_wo": (d, d), "attn_bo": (d,),
+        "attn_ln_g": (d,), "attn_ln_b": (d,), "ffn_w1": (d, dff), "ffn_b1": (dff,),
+        "ffn_w2": (dff, d), "ffn_b2": (d,), "ffn_ln_g": (d,), "ffn_ln_b": (d,),
+    }
+    shapes = {
+        "tok_emb": (v, d), "pos_emb": (config.max_positions, d),
+        "emb_ln_g": (d,), "emb_ln_b": (d,),
+    }
+    for i in range(config.n_layers):
+        shapes.update({f"l{i}.{name}": shape for name, shape in layer.items()})
+    shapes.update(mlm_bias=(v,), ner_w=(d, t), ner_b=(t,))
+    return shapes
+
+
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Seeded initialization: weights ~ N(0, 0.02), layer norms at identity."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    d, dff = config.d_model, config.d_ff
-    std = 0.02
-
-    def normal(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, std, shape)
-
-    p: dict[str, np.ndarray] = {
-        "tok_emb": normal(config.vocab_size, d),
-        "pos_emb": normal(config.max_positions, d),
-        "emb_ln_g": np.ones(d),
-        "emb_ln_b": np.zeros(d),
-    }
-    for i in range(config.n_layers):
-        pre = f"l{i}."
-        p[pre + "attn_wq"] = normal(d, d)
-        p[pre + "attn_bq"] = np.zeros(d)
-        p[pre + "attn_wk"] = normal(d, d)
-        p[pre + "attn_bk"] = np.zeros(d)
-        p[pre + "attn_wv"] = normal(d, d)
-        p[pre + "attn_bv"] = np.zeros(d)
-        p[pre + "attn_wo"] = normal(d, d)
-        p[pre + "attn_bo"] = np.zeros(d)
-        p[pre + "attn_ln_g"] = np.ones(d)
-        p[pre + "attn_ln_b"] = np.zeros(d)
-        p[pre + "ffn_w1"] = normal(d, dff)
-        p[pre + "ffn_b1"] = np.zeros(dff)
-        p[pre + "ffn_w2"] = normal(dff, d)
-        p[pre + "ffn_b2"] = np.zeros(d)
-        p[pre + "ffn_ln_g"] = np.ones(d)
-        p[pre + "ffn_ln_b"] = np.zeros(d)
-    p["mlm_bias"] = np.zeros(config.vocab_size)
-    p["ner_w"] = normal(d, config.n_tags)
-    p["ner_b"] = np.zeros(config.n_tags)
-    return p
+    params: dict[str, np.ndarray] = {}
+    for name, shape in _param_shapes(config).items():
+        if len(shape) == 2:
+            params[name] = rng.normal(0.0, 0.02, shape)
+        elif name.endswith("_g"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

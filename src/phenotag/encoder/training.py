@@ -1,17 +1,19 @@
 """Masked-language-model pre-training and token-classification fine-tuning.
 
-Both loops are deterministic given their seed: batch sampling and masking
-choices come from one seeded generator, and parameters are updated by Adam.
-The recipe is BERT's and fixed: 80/10/10 corruption of masked positions, and
-Adam betas 0.9/0.999 and eps 1e-8. Input checkpoints are never mutated;
-training returns a new checkpoint plus a per-step trace.
+Both run one loop, ``_train``, in which a copy of the input checkpoint takes
+one Adam step per batch; only their batch sources differ. ``_masked_batches``
+masks sentences 80/10/10 for pre-training and ``masked_accuracy``;
+``_tagged_batches`` reshuffles tagged sentences every epoch. Sampling and
+masking come from one seeded generator, so a run is deterministic given its
+seed. Adam's betas 0.9/0.999 and eps 1e-8 are fixed. Input checkpoints are
+never mutated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,15 +92,6 @@ def _check_counts(batch_size: int, name: str, count: int) -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {count}")
 
 
-def _sentence_ids(
-    corpus: Sequence[Document], vocab: Vocabulary, max_positions: int
-) -> list[list[int]]:
-    return [
-        _bracket(s.ids, vocab.cls_id, vocab.sep_id, max_positions)
-        for s in encode_corpus(corpus, vocab)
-    ]
-
-
 def _pad_batch(seqs: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
     b = len(seqs)
     s = max(len(q) for q in seqs)
@@ -110,41 +103,75 @@ def _pad_batch(seqs: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarr
     return ids, mask
 
 
-def _apply_masking(
-    seqs: list[list[int]],
-    ids: np.ndarray,
+def _masked_batches(
+    corpus: Sequence[Document],
     vocab: Vocabulary,
+    max_positions: int,
     mask_frac: float,
     rng: np.random.Generator,
-    random_pool: np.ndarray,
-):
-    """Corrupt `ids` in place; returns (pos_b, pos_s, labels) arrays."""
-    pos_b: list[int] = []
-    pos_s: list[int] = []
-    labels: list[int] = []
-    specials = (vocab.cls_id, vocab.sep_id)
-    for r, seq in enumerate(seqs):
-        cand = [p for p, tok in enumerate(seq) if tok not in specials]
-        if not cand:
-            continue
-        n_mask = max(1, int(round(mask_frac * len(cand))))
-        chosen = rng.choice(len(cand), size=min(n_mask, len(cand)), replace=False)
-        for ci in np.sort(chosen):
-            p = cand[int(ci)]
-            pos_b.append(r)
-            pos_s.append(p)
-            labels.append(seq[p])
-            u = rng.random()
-            if u < _REPLACE_MASK:
-                ids[r, p] = vocab.mask_id
-            elif u < _REPLACE_MASK + _REPLACE_RANDOM:
-                ids[r, p] = int(random_pool[rng.integers(len(random_pool))])
-            # else: keep the original token as input
-    return (
-        np.asarray(pos_b, dtype=np.int64),
-        np.asarray(pos_s, dtype=np.int64),
-        np.asarray(labels, dtype=np.int64),
+    take: Callable[[int], Iterable[Sequence[int]]],
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Masked-LM batches ``(ids, mask, pos_b, pos_s, labels)`` of bracketed
+    sentences. ``take(n)`` yields each batch's rows of the n-sentence pool;
+    ``rng`` draws a batch's rows, then its masking.
+    """
+    pool = [
+        _bracket(s.ids, vocab.cls_id, vocab.sep_id, max_positions)
+        for s in encode_corpus(corpus, vocab)
+    ]
+    if not pool:
+        raise ValidationError("corpus contains no sentences")
+    special_set = set(vocab.special_ids)
+    random_pool = np.array(
+        [i for i in range(len(vocab)) if i not in special_set], dtype=np.int64
     )
+    brackets = (vocab.cls_id, vocab.sep_id)
+    for rows in take(len(pool)):
+        seqs = [pool[int(i)] for i in rows]
+        ids, mask = _pad_batch(seqs, vocab.pad_id)
+        picks: list[tuple[int, int, int]] = []  # (row, position, original token)
+        for r, seq in enumerate(seqs):
+            cand = [p for p, tok in enumerate(seq) if tok not in brackets]
+            if not cand:
+                continue
+            n_mask = max(1, int(round(mask_frac * len(cand))))
+            chosen = rng.choice(len(cand), size=min(n_mask, len(cand)), replace=False)
+            for ci in np.sort(chosen):
+                p = cand[int(ci)]
+                picks.append((r, p, seq[p]))
+                u = rng.random()
+                if u < _REPLACE_MASK:
+                    ids[r, p] = vocab.mask_id
+                elif u < _REPLACE_MASK + _REPLACE_RANDOM:
+                    ids[r, p] = int(random_pool[rng.integers(len(random_pool))])
+                # else: keep the original token as input
+        pos_b, pos_s, labels = np.array(picks, dtype=np.int64).reshape(-1, 3).T
+        yield ids, mask, pos_b, pos_s, labels
+
+
+def _train(
+    ckpt: Checkpoint,
+    vocab: Vocabulary,
+    lr: float,
+    batches: Iterable[tuple[np.ndarray, ...]],
+    loss_fn: Callable,
+    name: str,
+    first_step: int,
+) -> tuple[Checkpoint, list[TrainRecord]]:
+    """A copy of ``ckpt`` takes one Adam step per batch, numbered from ``first_step``."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"lr must be a positive finite number, got {lr}")
+    out = ckpt.copy()
+    out.vocab_digest = vocab.digest()
+    adam = Adam(out.params, lr)
+    records: list[TrainRecord] = []
+    for step, batch in enumerate(batches, first_step):
+        loss, acc, grads = loss_fn(out.params, out.config, *batch)
+        if not math.isfinite(loss):
+            raise TrainingError(f"non-finite {name} loss at step {step}")
+        adam.step(out.params, grads)
+        records.append(TrainRecord(step, loss, acc))
+    return out, records
 
 
 def pretrain_mlm(
@@ -165,36 +192,21 @@ def pretrain_mlm(
     _check_mask_frac(mask_frac)
     _check_counts(batch_size, "steps", steps)
     ckpt.check_vocab(vocab)
-    out = ckpt.copy()
-    out.vocab_digest = vocab.digest()
-    if steps == 0:
-        return out, []
-    pool = _sentence_ids(corpus, vocab, ckpt.config.max_positions)
-    if not pool:
-        raise ValidationError("pre-training corpus contains no sentences")
     rng = np.random.default_rng(seed if seed is not None else ckpt.config.seed)
-    special_set = set(vocab.special_ids)
-    random_pool = np.array(
-        [i for i in range(len(vocab)) if i not in special_set], dtype=np.int64
+
+    def draw(n: int) -> Iterator[np.ndarray]:
+        for _ in range(steps):
+            yield rng.choice(n, size=batch_size, replace=n < batch_size)
+
+    batches = _masked_batches(
+        corpus, vocab, ckpt.config.max_positions, mask_frac, rng, draw
     )
-    adam = Adam(out.params, lr)
-    records: list[TrainRecord] = []
-    for local_step in range(steps):
-        step = out.step + 1
-        idx = rng.choice(len(pool), size=batch_size, replace=len(pool) < batch_size)
-        seqs = [pool[int(i)] for i in idx]
-        ids, mask = _pad_batch(seqs, vocab.pad_id)
-        pos_b, pos_s, labels = _apply_masking(
-            seqs, ids, vocab, mask_frac, rng, random_pool
-        )
-        loss, acc, grads = mlm_loss_and_grads(
-            out.params, out.config, ids, mask, pos_b, pos_s, labels
-        )
-        if not math.isfinite(loss):
-            raise TrainingError(f"non-finite masked-LM loss at step {step}")
-        adam.step(out.params, grads)
-        out.step = step
-        records.append(TrainRecord(step, loss, acc))
+    # with no steps to run the corpus is never encoded, so it may be empty
+    out, records = _train(
+        ckpt, vocab, lr, batches if steps else (), mlm_loss_and_grads, "masked-LM",
+        ckpt.step + 1,
+    )
+    out.step += len(records)
     return out, records
 
 
@@ -208,22 +220,14 @@ def masked_accuracy(
     """Masked-token accuracy of a trained model over freshly masked sentences."""
     _check_mask_frac(mask_frac)
     ckpt.check_vocab(vocab)
-    pool = _sentence_ids(corpus, vocab, ckpt.config.max_positions)
-    if not pool:
-        raise ValidationError("corpus contains no sentences")
-    rng = np.random.default_rng(seed)
-    special_set = set(vocab.special_ids)
-    random_pool = np.array(
-        [i for i in range(len(vocab)) if i not in special_set], dtype=np.int64
+    batches = _masked_batches(
+        corpus, vocab, ckpt.config.max_positions, mask_frac,
+        np.random.default_rng(seed),
+        lambda n: (range(n)[start : start + 32] for start in range(0, n, 32)),
     )
     total = 0
     correct = 0
-    for start in range(0, len(pool), 32):
-        seqs = pool[start : start + 32]
-        ids, mask = _pad_batch(seqs, vocab.pad_id)
-        pos_b, pos_s, labels = _apply_masking(
-            seqs, ids, vocab, mask_frac, rng, random_pool
-        )
+    for ids, mask, pos_b, pos_s, labels in batches:
         h, _ = forward_hidden(ckpt.params, ckpt.config, ids, mask, keep_cache=False)
         logits = h[pos_b, pos_s] @ ckpt.params["tok_emb"].T + ckpt.params["mlm_bias"]
         correct += int((logits.argmax(-1) == labels).sum())
@@ -262,6 +266,20 @@ def _ner_examples(
     return examples
 
 
+def _tagged_batches(
+    examples: list[tuple[list[int], list[int]]], pad_id: int, hyper: FinetuneConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(ids, mask, tag_ids)`` batches, the examples reshuffled every epoch."""
+    rng = np.random.default_rng(hyper.seed)
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(examples))
+        for start in range(0, len(examples), hyper.batch_size):
+            batch = [examples[int(i)] for i in order[start : start + hyper.batch_size]]
+            ids, mask = _pad_batch([b[0] for b in batch], pad_id)
+            tag_ids, _ = _pad_batch([b[1] for b in batch], IGNORE_ID)
+            yield ids, mask, tag_ids
+
+
 def finetune_ner(
     ckpt: Checkpoint,
     train_docs: Sequence[Document],
@@ -278,30 +296,8 @@ def finetune_ner(
     examples = _ner_examples(train_docs, vocab, ckpt.config.max_positions)
     if not examples:
         raise ValidationError("no training sentences after encoding")
-    out = ckpt.copy()
-    out.vocab_digest = vocab.digest()
-    rng = np.random.default_rng(hyper.seed)
-    adam = Adam(out.params, hyper.lr)
-    records: list[TrainRecord] = []
-    step = 0
-    for _ in range(hyper.epochs):
-        order = rng.permutation(len(examples))
-        for start in range(0, len(examples), hyper.batch_size):
-            batch = [examples[int(i)] for i in order[start : start + hyper.batch_size]]
-            ids, mask = _pad_batch([b[0] for b in batch], vocab.pad_id)
-            width = ids.shape[1]
-            tag_ids = np.full((len(batch), width), -1, dtype=np.int64)
-            for r, (_, tids) in enumerate(batch):
-                tag_ids[r, : len(tids)] = tids
-            loss, acc, grads = ner_loss_and_grads(
-                out.params, out.config, ids, mask, tag_ids
-            )
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite tag loss at step {step + 1}")
-            adam.step(out.params, grads)
-            step += 1
-            records.append(TrainRecord(step, loss, acc))
-    return out, records
+    batches = _tagged_batches(examples, vocab.pad_id, hyper)
+    return _train(ckpt, vocab, hyper.lr, batches, ner_loss_and_grads, "tag", 1)
 
 
 def format_trace(records: Sequence[TrainRecord]) -> str:

@@ -210,6 +210,11 @@ class TestExitCodes:
         ("pretrain", "--steps", "-3", "steps"),
         ("finetune", "--batch-size", "0", "batch_size"),
         ("finetune", "--epochs", "-1", "epochs"),
+        ("pretrain", "--lr", "-1", "lr"),
+        ("pretrain", "--lr", "nan", "lr"),
+        ("pretrain", "--lr", "inf", "lr"),
+        ("finetune", "--lr", "0", "lr"),
+        ("finetune", "--lr", "nan", "lr"),
     ])
     def test_bad_training_count_is_one_line_error(self, tiny_model, tmp_path, capsys,
                                                   command, flag, value, name):
@@ -436,6 +441,25 @@ class TestModelCommandFailures:
                    "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
         assert code == 1
         assert "cut.ckpt" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("tensor", ["pos_emb", "ner_b"])
+    def test_checkpoint_tensor_that_does_not_match_its_config_is_one_line_error(
+            self, tiny_model, tmp_path, capsys, tensor):
+        from phenotag.encoder import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(tiny_model["ckpt"])
+        if tensor == "pos_emb":
+            ckpt.params["pos_emb"] = ckpt.params["pos_emb"][:4]
+        else:
+            del ckpt.params["ner_b"]
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, bad)
+        code = run("predict", "--ckpt", str(bad), "--vocab", tiny_model["base"],
+                   "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
+        assert code == 1
+        err = one_line_error(capsys)
+        assert "bad.ckpt: " in err and repr(tensor) in err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_checkpoint_with_removed_settings_is_one_line_error(self, tiny_model,
                                                                 tmp_path, capsys):

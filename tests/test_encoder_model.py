@@ -262,6 +262,22 @@ class TestCheckpointIO:
         with pytest.raises(ParseError, match=f"bad.ckpt: bad checkpoint metadata: {message}"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.update(pos_emb=params["pos_emb"][:4]),
+         r"tensor 'pos_emb' has shape \(4, 16\), its config needs \(128, 16\)"),
+        (lambda params: params.pop("ner_b"), "no tensor 'ner_b'"),
+        (lambda params: params.update(mlm_decoder=np.zeros((16, 30))),
+         "unexpected tensor 'mlm_decoder'"),
+    ], ids=["short-pos_emb", "no-ner_b", "extra-tensor"])
+    def test_tensors_that_do_not_match_the_config_rejected(self, tmp_path, edit, message):
+        # before the check, predict on the first two ended in a broadcast
+        # ValueError and a KeyError traceback
+        ck = init_model(ModelConfig(**{**TINY.to_dict(), "max_positions": 128}))
+        edit(ck.params)
+        save_checkpoint(ck, tmp_path / "bad.ckpt")
+        with pytest.raises(ParseError, match=f"bad.ckpt: {message}"):
+            load_checkpoint(tmp_path / "bad.ckpt")
+
     def test_metadata_with_removed_settings_rejected(self, tmp_path):
         save_checkpoint(init_model(TINY), tmp_path / "new.ckpt")
         with_removed_settings(tmp_path / "new.ckpt", tmp_path / "old.ckpt")

@@ -35,7 +35,7 @@ from phenotag.encoder import (
 )
 from phenotag.encoder import training
 from phenotag.encoder.model import init_params, ner_loss_and_grads, tag_logits
-from phenotag.errors import ConfigurationError, ValidationError
+from phenotag.errors import ConfigurationError, TrainingError, ValidationError
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import Vocabulary, tokenize
 
@@ -175,11 +175,48 @@ class TestFinetune:
 
     def test_trace_format(self, small_setup):
         vocab, docs, ck = small_setup
-        _, records = finetune_ner(ck, docs, vocab, FinetuneConfig(epochs=1, seed=0))
+        pretrained, _ = pretrain_mlm(ck, docs, vocab, steps=2, seed=0)
+        out, records = finetune_ner(pretrained, docs, vocab, FinetuneConfig(epochs=1, seed=0))
         text = format_trace(records)
         lines = text.strip().splitlines()
         assert lines[0] == "step,loss,accuracy"
         assert len(lines) == len(records) + 1
+        # fine-tuning numbers its own steps from 1 and keeps the pre-training count
+        assert [r.step for r in records] == list(range(1, len(records) + 1))
+        assert out.step == pretrained.step == 2
+
+
+class TestNonFiniteLoss:
+    """A non-finite loss stops training at once, naming the step."""
+
+    @pytest.mark.parametrize("trainer, loss_fn, message", [
+        ("pretrain", "mlm_loss_and_grads", "non-finite masked-LM loss at step 7"),
+        ("finetune", "ner_loss_and_grads", "non-finite tag loss at step 2"),
+    ])
+    def test_nan_at_the_second_step_raises(self, small_setup, monkeypatch, trainer,
+                                           loss_fn, message):
+        vocab, docs, ck = small_setup
+        ck = ck.copy()
+        ck.step = 5  # pre-training counts on from here; fine-tuning starts at 1
+        before = {k: v.copy() for k, v in ck.params.items()}
+        real = getattr(training, loss_fn)
+        calls = []
+
+        def nan_at_second_call(*args):
+            calls.append(1)
+            loss, acc, grads = real(*args)
+            return (float("nan") if len(calls) == 2 else loss), acc, grads
+
+        monkeypatch.setattr(training, loss_fn, nan_at_second_call)
+        with pytest.raises(TrainingError, match=f"^{message}$"):
+            if trainer == "pretrain":
+                pretrain_mlm(ck, docs, vocab, steps=4, seed=0)
+            else:
+                finetune_ner(ck, docs, vocab, FinetuneConfig(epochs=2, batch_size=4))
+        assert len(calls) == 2
+        assert ck.step == 5
+        for k in before:
+            np.testing.assert_array_equal(ck.params[k], before[k])
 
 
 class TestSentenceCut:

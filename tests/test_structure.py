@@ -50,6 +50,14 @@ def test_text_becomes_ids_in_one_place():
     }
 
 
+def test_one_training_loop():
+    # Pre-training and fine-tuning share one loop: the only optimizer, the
+    # only update step, and with them the one finite-loss check and trace.
+    loop = {"phenotag.encoder.training._train"}
+    assert call_sites("Adam") == loop
+    assert call_sites("step") == loop
+
+
 def test_tag_layout_is_known_only_to_the_codec():
     # encode_bio and decode_bio speak tag ids; which id is B-, I- or O of
     # which label is corpus.py's business alone.
