@@ -160,6 +160,12 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
+def _check_new_name(seen: dict, name: str, flag: str) -> None:
+    """A table column per name: a repeated one would overwrite the first."""
+    if name in seen:
+        raise PhenotagError(f"{flag} name {name!r} given more than once")
+
+
 def cmd_coverage(args) -> int:
     corpus = load_corpus(args.corpus)
     reports = {}
@@ -167,6 +173,7 @@ def cmd_coverage(args) -> int:
         name, _, path = spec.partition("=")
         if not path:
             name, path = Path(spec).stem, spec
+        _check_new_name(reports, name, "--vocab")
         reports[name] = coverage(_load_vocab_arg(path), corpus)
     _print_table(args, format_coverage_table(reports))
     return 0
@@ -321,6 +328,7 @@ def cmd_aggregate(args) -> int:
             raise PhenotagError(
                 f"--group must look like NAME=report1.json,report2.json: {spec!r}"
             )
+        _check_new_name(groups, name, "--group")
         reports = []
         for p in paths.split(","):
             try:

@@ -196,14 +196,20 @@ def encode_corpus(
 ) -> Iterator[EncodedSentence]:
     """Split every document into sentences, tokenize them, and look up ids.
 
-    Sentences are produced one at a time, so a caller that keeps only the ids
-    never holds the whole corpus's tokenizations.
+    Sentences are produced one at a time. Within one call each distinct
+    sentence text is tokenized once, and its occurrences share that
+    ``TokenizedText`` and ``ids`` list, which callers must not modify. So the
+    memory held grows with the number of distinct sentences, not with the
+    corpus; nothing outlives the call's iterator.
     """
+    encoded: dict[str, tuple[TokenizedText, list[int]]] = {}
     for d, doc in enumerate(docs):
         for sent, off in split_sentences(doc.text):
-            tk = tokenize(sent, vocab)
-            if len(tk):
-                ids = [vocab.id_of(p) for p in tk.pieces]
+            if sent not in encoded:
+                tk = tokenize(sent, vocab)
+                encoded[sent] = tk, [vocab.id_of(p) for p in tk.pieces]
+            tk, ids = encoded[sent]
+            if ids:
                 yield EncodedSentence(d, off, len(sent), tk, ids)
 
 

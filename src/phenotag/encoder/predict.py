@@ -11,17 +11,24 @@ padded and the mask is all ones, so every row attends over exactly its own
 positions, softmax sums keep their length, and each row's logits are the same
 bits as a call with that row alone: batching changes the speed, not the spans.
 
-Sentences are encoded ``CHUNK_SENTENCES`` at a time, so the tokenizations of
-a whole corpus are never held at once. A chunk's calls run on a pool of one
-thread per usable CPU, whatever the BLAS thread count (numpy and scipy release
-the GIL); results are kept by window, so call order cannot change a bit.
+Within one call each distinct sentence is tagged once. Tag ids are kept by
+sentence ids, so sentences that differ only in case or spacing share one row.
+Sentences whose ids are not tagged yet wait until ``CHUNK_SENTENCES`` distinct
+ones have gathered; their windows are then tagged together, and each waiting
+occurrence is decoded with its own tokens and offset. Since a row's logits do
+not depend on the rows stacked with it, dropping repeated rows changes the
+speed, not the spans. The memory held grows with the number of distinct
+sentences, not with the corpus, and nothing outlives the call.
+
+A chunk's calls run on a pool of one thread per usable CPU, whatever the BLAS
+thread count (numpy and scipy release the GIL); results are kept by window,
+so call order cannot change a bit.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +38,7 @@ from ..tokenizer import Vocabulary
 from .checkpoint import Checkpoint
 from .model import tag_logits
 
-CHUNK_SENTENCES = 512  # sentences encoded and tagged together
+CHUNK_SENTENCES = 512  # distinct sentences tagged together
 BATCH_TOKENS = 1024  # positions, [CLS] and [SEP] included, per tag_logits call
 
 
@@ -51,13 +58,13 @@ def _workers() -> int:
 
 
 def _tag_chunk(
-    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[EncodedSentence],
+    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[tuple[int, ...]],
     pool: ThreadPoolExecutor,
 ) -> list[list[int]]:
-    """Tag ids per piece for each sentence of ``chunk``."""
+    """Tag ids per piece for each sentence's ids in ``chunk``."""
     budget = ckpt.config.max_positions - 2
     stride = max(1, budget // 2)
-    windows = [_windows(len(sent.ids), budget, stride) for sent in chunk]
+    windows = [_windows(len(ids), budget, stride) for ids in chunk]
     by_length: dict[int, list[tuple[int, int]]] = {}
     for i, sent_windows in enumerate(windows):
         for ws, we in sent_windows:
@@ -72,7 +79,7 @@ def _tag_chunk(
             ids[:, 0] = vocab.cls_id
             ids[:, -1] = vocab.sep_id
             for row, (i, ws) in zip(ids, batch):
-                row[1:-1] = chunk[i].ids[ws : ws + length]
+                row[1:-1] = chunk[i][ws : ws + length]
             calls.append((batch, pool.submit(
                 tag_logits, ckpt.params, ckpt.config, ids, np.ones(ids.shape))))
     window_tags: dict[tuple[int, int], np.ndarray] = {}
@@ -81,7 +88,7 @@ def _tag_chunk(
 
     tags = []
     for i, sent_windows in enumerate(windows):
-        n = len(chunk[i].ids)
+        n = len(chunk[i])
         best_dist = np.full(n, np.inf)
         tag_of = np.zeros(n, dtype=np.int64)
         for ws, we in sent_windows:
@@ -102,16 +109,33 @@ def predict(
     """
     ckpt.check_vocab(vocab)
     spans: list[list[EntitySpan]] = [[] for _ in docs]
-    sentences = encode_corpus(docs, vocab)
+    tags: dict[tuple[int, ...], list[int]] = {}  # tag ids by sentence ids
+    waiting: dict[tuple[int, ...], list[EncodedSentence]] = {}  # by ids not tagged yet
+
+    def emit(sent: EncodedSentence, tag_ids: list[int]) -> None:
+        for span in decode_bio(tag_ids, sent.tokens):
+            spans[sent.doc].append(EntitySpan(
+                span.start_char + sent.offset, span.end_char + sent.offset, span.label,
+            ))
+
+    def tag_waiting() -> None:
+        for key, tag_ids in zip(waiting, _tag_chunk(ckpt, vocab, list(waiting), pool)):
+            tags[key] = tag_ids
+            for sent in waiting[key]:
+                emit(sent, tag_ids)
+        waiting.clear()
+
     pool = ThreadPoolExecutor(_workers())
     try:
-        while chunk := list(islice(sentences, CHUNK_SENTENCES)):
-            for sent, tag_ids in zip(chunk, _tag_chunk(ckpt, vocab, chunk, pool)):
-                for span in decode_bio(tag_ids, sent.tokens):
-                    spans[sent.doc].append(EntitySpan(
-                        span.start_char + sent.offset, span.end_char + sent.offset,
-                        span.label,
-                    ))
+        for sent in encode_corpus(docs, vocab):
+            key = tuple(sent.ids)
+            if key in tags:
+                emit(sent, tags[key])
+                continue
+            waiting.setdefault(key, []).append(sent)
+            if len(waiting) == CHUNK_SENTENCES:
+                tag_waiting()
+        tag_waiting()
     finally:
         pool.shutdown(cancel_futures=True)
     for doc_spans in spans:

@@ -10,6 +10,7 @@ prediction can never consume several gold spans.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -74,20 +75,10 @@ def match_spans(
             matched_pred[pi] = True
             pairs.append((g, p))
             break
-    counts: dict[EntityLabel, ClassMetrics] = {}
-    for label in LABELS:
-        tp = sum(1 for g, _ in pairs if g.label == label)
-        fp = sum(
-            1
-            for pi, p in enumerate(pred_sorted)
-            if p.label == label and not matched_pred[pi]
-        )
-        fn = sum(
-            1
-            for gi, g in enumerate(gold_sorted)
-            if g.label == label and not taken[gi]
-        )
-        counts[label] = ClassMetrics(tp, fp, fn)
+    tp = Counter(g.label for g, _ in pairs)
+    fp = Counter(p.label for p, m in zip(pred_sorted, matched_pred) if not m)
+    fn = Counter(g.label for g, t in zip(gold_sorted, taken) if not t)
+    counts = {label: ClassMetrics(tp[label], fp[label], fn[label]) for label in LABELS}
     return MatchResult(pairs, counts)
 
 

@@ -139,18 +139,17 @@ def tsne(
     y = rng.normal(0.0, 1e-4, (n, 2))
     update = np.zeros_like(y)
 
-    q, _ = _student_t_q(y)
+    q, num = _student_t_q(y)  # of the current layout, for its KL and its step
     kl_trace = [_kl(p, q)]
     for t in range(1, iterations + 1):
         p_eff = p * _EARLY_EXAGGERATION if t <= _EXAGGERATION_ITERS else p
-        q, num = _student_t_q(y)
         pq = (p_eff - q) * num
         grad = 4.0 * ((np.diag(pq.sum(1)) - pq) @ y)
         momentum = 0.5 if t <= _MOMENTUM_SWITCH else 0.8
         update = momentum * update - _LEARNING_RATE * grad
         y = y + update
         y = y - y.mean(0)
-        q, _ = _student_t_q(y)
+        q, num = _student_t_q(y)
         kl_trace.append(_kl(p, q))
     if not np.isfinite(y).all():
         raise ValidationError("t-SNE diverged to non-finite coordinates")

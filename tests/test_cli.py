@@ -178,6 +178,30 @@ class TestExitCodes:
         assert "bad.json: not a match report" in one_line_error(capsys)
         assert not (tmp_path / "a.tsv").exists()
 
+    def test_repeated_vocab_name_is_one_line_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--seed", "1", "--docs", "5", "--test-fraction", "0",
+            "--out", str(corpus))
+        for name in ("a", "b"):
+            assert run("build-vocab", "--mode", "base", "--out",
+                       str(tmp_path / f"{name}.txt")) == 0
+        capsys.readouterr()
+        out = tmp_path / "cov.tsv"
+        code = run("coverage", "--corpus", str(corpus), "--vocab", f"x={tmp_path}/a.txt",
+                   "--vocab", f"x={tmp_path}/b.txt", "--out", str(out))
+        assert code == 1
+        assert "--vocab name 'x' given more than once" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_repeated_group_name_is_one_line_error(self, tmp_path, capsys):
+        report = write_report(tmp_path / "r.json", ["TumorSize"])
+        out = tmp_path / "a.tsv"
+        code = run("aggregate", "--group", f"a={report}", "--group", f"a={report}",
+                   "--out", str(out))
+        assert code == 1
+        assert "--group name 'a' given more than once" in one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("groups", [
         ["g=full.json,size.json"], ["g=size.json,full.json"],
         ["a=full.json", "b=size.json"],

@@ -1,3 +1,4 @@
+import importlib
 import json
 import logging
 import random
@@ -179,6 +180,33 @@ class TestEncodeCorpus:
                     chars = text[sent.offset + s : sent.offset + e].lower()
                     assert chars == piece.removeprefix("##" if cont else "")
                 assert e <= sent.length
+
+
+    def test_each_distinct_text_tokenized_once_per_call(self, base_vocab, corpus200,
+                                                      monkeypatch):
+        docs = corpus200[:40] + [
+            Document("r", "HER2 positive. Left breast. HER2 positive.\nher2  positive.", []),
+            Document("s", "  Left breast. HER2 positive.", []),
+        ]
+        texts = [sent for doc in docs for sent, _ in split_sentences(doc.text)]
+        expected = []
+        for d, doc in enumerate(docs):  # one tokenization per sentence, as before
+            for sent, off in split_sentences(doc.text):
+                tk = tokenize(sent, base_vocab)
+                if ids := [base_vocab.id_of(p) for p in tk.pieces]:
+                    expected.append((d, off, len(sent), tk, ids))
+        corpus_module = importlib.import_module("phenotag.corpus")
+        calls = []
+
+        def counting(text, vocab):
+            calls.append(text)
+            return tokenize(text, vocab)
+
+        monkeypatch.setattr(corpus_module, "tokenize", counting)
+        assert [tuple(s) for s in encode_corpus(docs, base_vocab)] == expected
+        assert sorted(calls) == sorted(set(texts)) and len(set(texts)) < len(texts)
+        list(encode_corpus(docs, base_vocab))  # a second call keeps nothing of the first
+        assert sorted(calls) == sorted([*set(texts)] * 2)
 
 
 class TestEncodeBio:

@@ -389,6 +389,18 @@ def mixed_docs():
     return mixed
 
 
+@pytest.fixture(scope="module")
+def repeated_docs():
+    """Sentences repeated within and across documents at other offsets, with
+    variants of one sentence that differ only in case or spacing."""
+    long = " ".join(["her2 positive left breast"] * 12) + "."
+    return generate_synthetic(13, 8) + [
+        Document("a", "HER2 positive. Left breast. HER2 positive.\nher2  positive.", []),
+        Document("b", f"  Left breast. {long} HER2 positive.", []),
+        Document("c", f"{long}\n\n{long.upper()} Left  breast. HER2 positive.", []),
+    ] + generate_synthetic(13, 8)
+
+
 def _tiny_model(vocab, max_positions):
     config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
                          d_ff=32, max_positions=max_positions, seed=0)
@@ -427,14 +439,43 @@ class TestBatchedPrediction:
 
         monkeypatch.setattr(self.predict_module, "tag_logits", counting)
         predict_corpus(ck, mixed_docs, vocab)
-        windows = sum(
-            len(_reference_windows(len(sent.ids), 14, 7))
-            for sent in encode_corpus(mixed_docs, vocab)
-        )
-        assert sum(rows for rows, _ in shapes) == windows
+        distinct = {tuple(sent.ids) for sent in encode_corpus(mixed_docs, vocab)}
+        windows = sum(len(_reference_windows(len(ids), 14, 7)) for ids in distinct)
+        assert sum(rows for rows, _ in shapes) == windows  # one row per distinct window
         assert len(shapes) < windows / 4
         batch_tokens = self.predict_module.BATCH_TOKENS
         assert all(rows == 1 or rows * length <= batch_tokens for rows, length in shapes)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeated_sentences_tagged_once_with_their_own_spans(
+        self, repeated_docs, monkeypatch, chunk, workers
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
+        monkeypatch.setattr(self.predict_module, "_workers", lambda: workers)
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        expected = _reference_predict(ck, repeated_docs, vocab)
+        assert sum(map(len, expected)) > 0
+        assert [d.entities for d in predict_corpus(ck, repeated_docs, vocab)] == expected
+
+    def test_sentences_with_the_same_ids_share_one_row(self, monkeypatch):
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        rows = []
+        real = self.predict_module.tag_logits
+
+        def counting(params, config, ids, mask):
+            rows.append(ids[:, 1:-1].tolist())
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", counting)
+        docs = [Document("a", "HER2 positive. her2  positive.", []),
+                Document("b", "Her2 Positive.", [])]
+        assert predict(ck, docs, vocab) == _reference_predict(ck, docs, vocab)
+        her2 = [vocab.id_of(p) for p in ("her", "##2", "positive", ".")]
+        assert rows == [[her2]]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_stacked_rows_equal_one_row_calls(self, threads):

@@ -1,4 +1,5 @@
-"""Property tests: offsets, the BIO round trip, and loaders fed mutated bytes.
+"""Property tests: offsets, the BIO round trip, span matching counts, and
+loaders fed mutated bytes.
 
 Examples are derandomized, so a run repeats exactly and a failure is not
 a matter of luck.
@@ -21,6 +22,7 @@ from phenotag.corpus import (
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from phenotag.errors import ParseError, PhenotagError
+from phenotag.evaluation import MODES, match_spans
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import (
     CONTINUATION_MARKER,
@@ -101,6 +103,28 @@ class TestBioRoundTrip:
         text, spans = case
         tk = tokenize(text, VOCAB)
         assert decode_bio(encode_bio(tk, spans), tk) == spans
+
+
+spans = st.builds(
+    lambda start, width, label: EntitySpan(start, start + width, label),
+    st.integers(0, 30), st.integers(1, 6), st.sampled_from(LABELS),
+)
+
+
+class TestMatchCounts:
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12), st.lists(spans, max_size=12),
+           st.sampled_from(MODES))
+    def test_counts_equal_per_label_sums_over_the_pairs(self, gold, pred, mode):
+        result = match_spans(gold, pred, mode)
+        for label in LABELS:
+            tp = sum(1 for g, _ in result.pairs if g.label == label)
+            matched = sum(1 for _, p in result.pairs if p.label == label)
+            fp = sum(1 for p in pred if p.label == label) - matched
+            fn = sum(1 for g in gold if g.label == label) - tp
+            counts = result.counts[label]
+            assert (counts.tp, counts.fp, counts.fn) == (tp, fp, fn)
+        assert list(result.counts) == list(LABELS)
 
 
 def mutations(size):

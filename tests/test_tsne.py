@@ -1,3 +1,4 @@
+import importlib
 import logging
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from phenotag.errors import ValidationError
 from phenotag.tsne import joint_probabilities, tsne
+
+tsne_module = importlib.import_module("phenotag.tsne")  # the package exports tsne()
 
 
 def two_clusters(n_per=50, dim=10, separation=10.0, seed=3):
@@ -103,3 +106,48 @@ class TestTsne:
         x = two_clusters(5, dim=3)
         _, trace = tsne(x, perplexity=3.0, iterations=25, seed=0)
         assert len(trace) == 26  # initial + one per iteration
+
+
+def _reference_tsne(x, perplexity, iterations, seed):
+    """The optimisation loop as it ran before each layout's affinities were
+    kept: one Student-t evaluation for the step and another for the KL."""
+    m = tsne_module
+    rng = np.random.default_rng(seed)
+    p = joint_probabilities(x, perplexity)
+    y = rng.normal(0.0, 1e-4, (x.shape[0], 2))
+    update = np.zeros_like(y)
+    q, _ = m._student_t_q(y)
+    trace = [m._kl(p, q)]
+    for t in range(1, iterations + 1):
+        p_eff = p * m._EARLY_EXAGGERATION if t <= m._EXAGGERATION_ITERS else p
+        q, num = m._student_t_q(y)
+        pq = (p_eff - q) * num
+        grad = 4.0 * ((np.diag(pq.sum(1)) - pq) @ y)
+        momentum = 0.5 if t <= m._MOMENTUM_SWITCH else 0.8
+        update = momentum * update - m._LEARNING_RATE * grad
+        y = y + update
+        y = y - y.mean(0)
+        q, _ = m._student_t_q(y)
+        trace.append(m._kl(p, q))
+    return y, trace
+
+
+class TestAffinitiesOncePerLayout:
+    def test_same_layout_and_trace_as_the_two_evaluation_loop(self):
+        x = two_clusters(15, dim=6, seed=5)
+        coords, trace = tsne(x, perplexity=6.0, iterations=300, seed=4)
+        ref_coords, ref_trace = _reference_tsne(x, 6.0, 300, 4)
+        np.testing.assert_array_equal(coords, ref_coords)
+        assert trace == ref_trace
+
+    def test_one_student_t_evaluation_per_layout(self, monkeypatch):
+        calls = []
+        real = tsne_module._student_t_q
+
+        def counting(y):
+            calls.append(y.shape)
+            return real(y)
+
+        monkeypatch.setattr(tsne_module, "_student_t_q", counting)
+        tsne(two_clusters(5, dim=3), perplexity=3.0, iterations=25, seed=0)
+        assert len(calls) == 26  # the initial layout, then one per iteration
