@@ -20,7 +20,8 @@
 # processes on two cores, unpinned OpenBLAS threads contend and the pipeline
 # runs slower than one command at a time. predict uses every usable core
 # whatever this pin: its forward calls run on a pool of one thread per CPU
-# and give the same bytes at any pool size.
+# and give the same bytes at any pool size. A training step uses the cores
+# that one-thread BLAS and the other jobs leave free, with the same bytes.
 #
 # Usage: scripts/pipeline.sh [OUT_DIR]
 # Environment: PHENOTAG_PY (python executable, default python3),

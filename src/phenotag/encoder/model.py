@@ -17,6 +17,23 @@ plain expressions, so results are bitwise the same with fewer allocations.
 ``tag_logits`` runs the training forward's kernels in the same order but
 keeps no backward cache, so a call never holds every layer's activations.
 
+A training step runs on every CPU that the process may use and that BLAS
+and other processes leave free, and gives the bits of a serial step at any
+thread count. The forward with a cache cuts the padded batch into one row
+slice per thread, never re-padded, and runs the slices on a thread pool,
+the calling thread taking the first; each writes its rows of whole-batch
+arrays. Every forward kernel computes a row from that row alone
+(numpy calls BLAS once per row for the 3-D products, and once per row and
+head in attention), so a slice writes the bits the whole batch would. The
+backward is not cut by rows: it flattens rows into one 2-D product per
+weight, and the BLAS may round a row differently at another row count
+(OpenBLAS switches to small-matrix kernels below ~1,200 output elements).
+Instead, each product of its activation-gradient chain runs whole on the
+calling thread while a pool thread runs the weight gradients the step before
+made ready, each a whole-batch call in the serial operands and order. The
+loss heads run on the calling thread, and the cache-free forward never uses
+the pool, so prediction's threads never nest in it.
+
 Importing this module sets three glibc ``mallopt`` tunables for the process,
 so the activation memory each training step frees (~23 MB at batch 32 x 40)
 stays in the heap for the next step instead of going back to the OS and
@@ -31,6 +48,10 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import cache, partial
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import ndtr
@@ -107,12 +128,14 @@ def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 # primitive blocks
 
 
-def _layernorm(x, g, b):
+def _layernorm(x, g, b, out=(None, None, None)):
+    """Layer norm over the last axis; ``out`` takes (y, xhat, inv) if given."""
+    y, xhat, inv = out
     mu = x.mean(-1, keepdims=True)
-    xhat = x - mu
-    sq = xhat * xhat
+    xhat = np.subtract(x, mu, out=xhat)
+    sq = np.multiply(xhat, xhat, out=y)
     var = sq.mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    inv = np.divide(1.0, np.sqrt(var + LN_EPS), out=inv)
     xhat *= inv
     y = np.multiply(g, xhat, out=sq)
     y += b
@@ -135,10 +158,11 @@ def _layernorm_backward(dy, cache):
     return dx, dg, db
 
 
-def _gelu(x):
+def _gelu(x, out=(None, None)):
     """GELU with the exact normal CDF; returns (activation, cdf)."""
-    cdf = ndtr(x)
-    return x * cdf, cdf
+    act, cdf = out
+    cdf = ndtr(x, out=cdf)
+    return np.multiply(x, cdf, out=act), cdf
 
 
 def _gelu_backward(dy, x, cdf):
@@ -153,8 +177,8 @@ def _gelu_backward(dy, x, cdf):
     return g
 
 
-def _softmax_last(x):
-    ex = x - x.max(-1, keepdims=True)
+def _softmax_last(x, out=None):
+    ex = np.subtract(x, x.max(-1, keepdims=True), out=out)
     np.exp(ex, out=ex)
     ex /= ex.sum(-1, keepdims=True)
     return ex
@@ -177,26 +201,190 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dk)
 
 
-def _affine(x, w, b):
+def _affine(x, w, b, out=None):
     """x @ w + b, adding the bias into the product's buffer."""
-    y = x @ w
+    y = np.matmul(x, w, out=out)
     y += b
     return y
 
 
-def _linear_backward(dy, x, w):
-    """Grads for y = x @ w + b with x of shape [..., din]."""
+def _linear_dx(dy, w):
+    """dx = dy @ w.T for y = x @ w + b, over the rows flattened to 2-D."""
     din, dout = w.shape
-    x2 = x.reshape(-1, din)
-    dy2 = dy.reshape(-1, dout)
-    dw = x2.T @ dy2
-    db = dy2.sum(0)
-    dx = (dy2 @ w.T).reshape(x.shape)
-    return dx, dw, db
+    return (dy.reshape(-1, dout) @ w.T).reshape(dy.shape[:-1] + (din,))
+
+
+def _add_linear_grads(grads, w, b, x, dy):
+    """Add x^T dy and dy summed over rows to the grads of ``w`` and ``b``."""
+    x2 = x.reshape(-1, x.shape[-1])
+    dy2 = dy.reshape(-1, dy.shape[-1])
+    grads[w] += x2.T @ dy2
+    grads[b] += dy2.sum(0)
+
+
+# ---------------------------------------------------------------------------
+# the thread pool
+
+
+def _workers() -> int:
+    """The CPUs this process may run on (all of them where that is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _training_threads() -> int:
+    """Threads for a training step: one per CPU that its large products leave
+    free and that no other thread is running on now.
+
+    OpenBLAS runs a large product on the threads its environment names, and
+    on every CPU when none is named; its idle threads then spin, and a
+    training thread beside them only slows the step down. Likewise a pool
+    thread that shares its CPU with another process waits out that
+    process's time slice at every hand-off.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return max(1, min(_workers() // int(value), _idle_cpus()))
+    return 1
+
+
+def _idle_cpus() -> int:
+    """The usable CPUs less the other threads runnable on the machine now
+    (``/proc/loadavg`` counts them with the caller); all of them where that
+    is unknown."""
+    try:
+        with open("/proc/loadavg", encoding="ascii") as f:
+            runnable = int(f.read().split()[3].split("/")[0])
+    except (OSError, ValueError, IndexError):
+        return _workers()
+    return _workers() - runnable + 1
+
+
+try:
+    _current_cpu = ctypes.CDLL(None).sched_getcpu  # glibc
+    _current_cpu.argtypes, _current_cpu.restype = (), ctypes.c_int
+except (OSError, AttributeError):
+    _current_cpu = None
+
+
+def _other_cpus() -> set[int] | None:
+    """The calling thread's usable CPUs but the one it runs on, where known.
+
+    Linux wakes a sleeping thread on its waker's CPU when the thread's last
+    CPU is busy, and on two CPUs it does not then look for an idle one, so a
+    pool thread woken by the caller would queue behind it. A pool thread
+    moves itself to these CPUs before it runs its share.
+    """
+    if _current_cpu is None or not hasattr(os, "sched_setaffinity"):
+        return None
+    return os.sched_getaffinity(0) - {_current_cpu()} or None
+
+
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads)
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_all(calls: list[Callable[[], object]]) -> None:
+    """Run the calls, dealt round-robin to the calling thread and up to
+    ``_training_threads() - 1`` pool threads.
+
+    Returns once every share has ended; the first exception raised, the
+    calling thread's before the pool's, then propagates unchanged.
+    """
+    threads = min(_training_threads(), len(calls))
+
+    def run(share: list[Callable[[], object]], cpus: set[int] | None = None) -> None:
+        if cpus:
+            try:
+                os.sched_setaffinity(0, cpus)
+            except OSError:  # a placement hint only
+                pass
+        for call in share:
+            call()
+
+    if threads <= 1:
+        return run(calls)
+    pool, cpus = _pool(threads - 1), _other_cpus()
+    futures = [pool.submit(run, calls[j::threads], cpus) for j in range(1, threads)]
+    try:
+        run(calls[::threads])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _row_shards(rows: int) -> list[slice]:
+    """``rows`` cut into one contiguous slice per training thread, or per row
+    if fewer."""
+    n = max(1, min(_training_threads(), rows))
+    cuts = [rows * i // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
 # backbone forward / backward
+
+
+def _stage_arrays(config: ModelConfig, b: int, s: int) -> Iterator[dict[str, np.ndarray]]:
+    """Empty arrays for the embedding's, then each layer's, activations over
+    ``b`` rows of ``s`` positions, made as they are asked for."""
+    d, f = config.d_model, config.d_ff
+    yield {"h": np.empty((b, s, d)), "xhat": np.empty((b, s, d)), "inv": np.empty((b, s, 1))}
+    widths = {"q": d, "k": d, "v": d, "ctx": d, "n1": d, "xhat1": d, "inv1": 1,
+              "hmid": f, "cdf": f, "act": f, "h": d, "xhat2": d, "inv2": 1}
+    for _ in range(config.n_layers):
+        arrays = {name: np.empty((b, s, width)) for name, width in widths.items()}
+        arrays["probs"] = np.empty((b, config.n_heads, s, s))
+        yield arrays
+
+
+def _forward_rows(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    ids: np.ndarray,
+    mask: np.ndarray,
+    stages: Iterator[dict[str, np.ndarray]],
+) -> np.ndarray:
+    """The encoder over the rows ``ids``: the embedding, then each layer,
+    writes its activations into the next dict of ``stages``. Returns h."""
+    s = ids.shape[1]
+    o = next(stages)
+    e = params["tok_emb"][ids]
+    e += params["pos_emb"][:s]
+    h, _ = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"], (o["h"], o["xhat"], o["inv"]))
+
+    key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
+    scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
+    for i, o in zip(range(config.n_layers), stages):
+        pre = f"l{i}."
+        x = h
+        q = _affine(x, params[pre + "attn_wq"], params[pre + "attn_bq"], o["q"])
+        k = _affine(x, params[pre + "attn_wk"], params[pre + "attn_bk"], o["k"])
+        v = _affine(x, params[pre + "attn_wv"], params[pre + "attn_bv"], o["v"])
+        qh, kh, vh = (_split_heads(a, config.n_heads) for a in (q, k, v))
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=o["probs"])
+        scores *= scale
+        scores += key_bias
+        probs = _softmax_last(scores, out=scores)
+        _split_heads(o["ctx"], config.n_heads)[...] = probs @ vh
+        attn = _affine(o["ctx"], params[pre + "attn_wo"], params[pre + "attn_bo"])
+        attn += x  # residual
+        n1, _ = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"],
+                           (o["n1"], o["xhat1"], o["inv1"]))
+        hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"], o["hmid"])
+        act, _ = _gelu(hmid, (o["act"], o["cdf"]))
+        f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
+        f += n1  # residual
+        h, _ = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"],
+                          (o["h"], o["xhat2"], o["inv2"]))
+    return h
 
 
 def forward_hidden(
@@ -207,7 +395,12 @@ def forward_hidden(
     *,
     keep_cache: bool = True,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the encoder: hidden states [B, S, d] and, if kept, a backward cache."""
+    """Run the encoder: hidden states [B, S, d] and, if kept, a backward cache.
+
+    With the cache, row shards run on the pool into whole-batch arrays.
+    Without it, the calling thread runs every row, and a layer's arrays are
+    dropped as the next layer replaces them.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
     b, s = ids.shape
@@ -215,44 +408,84 @@ def forward_hidden(
         raise ConfigurationError(
             f"sequence length {s} exceeds max_positions {config.max_positions}"
         )
-    layers: list[dict] = []
+    if not keep_cache:
+        return _forward_rows(params, config, ids, mask, _stage_arrays(config, b, s)), None
+    stages = list(_stage_arrays(config, b, s))
+    _run_all([
+        partial(_forward_rows, params, config, ids[rows], mask[rows],
+                iter([{name: a[rows] for name, a in o.items()} for o in stages]))
+        for rows in _row_shards(b)
+    ])
+    cache = {"ids": ids, "config": config, "emb": stages[0], "layers": stages[1:]}
+    return stages[-1]["h"], cache
 
-    e = params["tok_emb"][ids]
-    e += params["pos_emb"][:s]
-    h, emb_ln = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
 
-    key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
-    scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
-    for i in range(config.n_layers):
-        pre = f"l{i}."
-        x = h
-        q = _affine(x, params[pre + "attn_wq"], params[pre + "attn_bq"])
-        k = _affine(x, params[pre + "attn_wk"], params[pre + "attn_bk"])
-        v = _affine(x, params[pre + "attn_wv"], params[pre + "attn_bv"])
-        qh = _split_heads(q, config.n_heads)
-        kh = _split_heads(k, config.n_heads)
-        vh = _split_heads(v, config.n_heads)
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        scores *= scale
-        scores += key_bias
-        probs = _softmax_last(scores)
-        ctx = _merge_heads(probs @ vh)
-        attn = _affine(ctx, params[pre + "attn_wo"], params[pre + "attn_bo"])
-        attn += x  # residual
-        n1, ln1 = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"])
-        hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
-        act, cdf = _gelu(hmid)
-        f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
-        f += n1  # residual
-        h, ln2 = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
-        if keep_cache:
-            layers.append({
-                "x": x, "qh": qh, "kh": kh, "vh": vh, "probs": probs,
-                "ctx": ctx, "ln1": ln1, "n1": n1, "hmid": hmid, "cdf": cdf,
-                "act": act, "ln2": ln2,
-            })
-    cache = {"ids": ids, "config": config, "emb_ln": emb_ln, "layers": layers}
-    return h, cache if keep_cache else None
+def _attention_backward(config, o, dctx):
+    """Attention's gradients on q, k and v, from that on its merged context
+    ``dctx`` and the layer's activations ``o``."""
+    n_heads = config.n_heads
+    scale = 1.0 / math.sqrt(config.d_model // n_heads)
+    dctx_h = _split_heads(dctx, n_heads)
+    qh, kh, vh = (_split_heads(o[name], n_heads) for name in ("q", "k", "v"))
+    probs = o["probs"]
+    dprobs = dctx_h @ vh.transpose(0, 1, 3, 2)
+    dvh = probs.transpose(0, 1, 3, 2) @ dctx_h
+    dscores = _softmax_backward(dprobs, probs)
+    dqh = dscores @ kh
+    dqh *= scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh
+    dkh *= scale
+    return _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+
+
+def _beside(chain: Callable[[], object], *weight_grads: Callable[[], object]):
+    """Run a step of the activation-gradient chain on the calling thread, and
+    the weight gradients the last step made ready on a pool thread; returns
+    the chain step's result."""
+    result = []
+    _run_all([lambda: result.append(chain()), lambda: [call() for call in weight_grads]])
+    return result[0]
+
+
+def _layer_backward(params, config, pre, o, x, dh, grads) -> np.ndarray:
+    """Backpropagate ``dh`` through one layer with activations ``o`` and input
+    ``x``, adding to ``grads``; returns the gradient on ``x``."""
+
+    def w(name):
+        return params[pre + name]
+
+    def linear_grads(name, x, dy):
+        return partial(_add_linear_grads, grads, pre + name, pre + name.replace("_w", "_b"),
+                       x, dy)
+
+    def layernorm_backward(name, dy, xhat, inv):
+        dx, dg, db = _layernorm_backward(dy, (xhat, inv, w(name + "_g")))
+        grads[pre + name + "_g"] += dg
+        grads[pre + name + "_b"] += db
+        return dx
+
+    dr2 = layernorm_backward("ffn_ln", dh, o["xhat2"], o["inv2"])
+    dhmid = _beside(lambda: _gelu_backward(_linear_dx(dr2, w("ffn_w2")), o["hmid"], o["cdf"]),
+                    linear_grads("ffn_w2", o["act"], dr2))
+
+    def feed_forward_input():
+        dn1 = _linear_dx(dhmid, w("ffn_w1"))
+        dn1 += dr2  # residual around the feed-forward block
+        return layernorm_backward("attn_ln", dn1, o["xhat1"], o["inv1"])
+
+    dr1 = _beside(feed_forward_input, linear_grads("ffn_w1", o["n1"], dhmid))
+    dq, dk, dv = _beside(lambda: _attention_backward(config, o, _linear_dx(dr1, w("attn_wo"))),
+                         linear_grads("attn_wo", o["ctx"], dr1))
+
+    def attention_input():
+        dx = _linear_dx(dq, w("attn_wq"))
+        dx += dr1  # residual around attention
+        dx += _linear_dx(dk, w("attn_wk"))
+        dx += _linear_dx(dv, w("attn_wv"))
+        return dx
+
+    return _beside(attention_input, *(
+        linear_grads("attn_w" + p, x, dy) for p, dy in (("q", dq), ("k", dk), ("v", dv))))
 
 
 def backward_hidden(
@@ -261,51 +494,19 @@ def backward_hidden(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Backpropagate a gradient on hidden states into ``grads`` (accumulating)."""
+    """Backpropagate a gradient on hidden states into ``grads`` (accumulating).
+
+    Each product of the activation-gradient chain runs on the calling thread
+    beside the weight gradients of the step before it on a pool thread.
+    """
     config: ModelConfig = cache["config"]
     ids = cache["ids"]
-    scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
-
+    stages = [cache["emb"], *cache["layers"]]
     for i in reversed(range(config.n_layers)):
-        pre = f"l{i}."
-        lc = cache["layers"][i]
-        dr2, dg2, db2 = _layernorm_backward(dh, lc["ln2"])
-        grads[pre + "ffn_ln_g"] += dg2
-        grads[pre + "ffn_ln_b"] += db2
-        dact, dw2, db2f = _linear_backward(dr2, lc["act"], params[pre + "ffn_w2"])
-        grads[pre + "ffn_w2"] += dw2
-        grads[pre + "ffn_b2"] += db2f
-        dhmid = _gelu_backward(dact, lc["hmid"], lc["cdf"])
-        dn1, dw1, db1f = _linear_backward(dhmid, lc["n1"], params[pre + "ffn_w1"])
-        grads[pre + "ffn_w1"] += dw1
-        grads[pre + "ffn_b1"] += db1f
-        dn1 += dr2  # residual around the feed-forward block
-        dr1, dg1, db1 = _layernorm_backward(dn1, lc["ln1"])
-        grads[pre + "attn_ln_g"] += dg1
-        grads[pre + "attn_ln_b"] += db1
-        dctx, dwo, dbo = _linear_backward(dr1, lc["ctx"], params[pre + "attn_wo"])
-        grads[pre + "attn_wo"] += dwo
-        grads[pre + "attn_bo"] += dbo
-        dctx_h = _split_heads(dctx, config.n_heads)
-        dprobs = dctx_h @ lc["vh"].transpose(0, 1, 3, 2)
-        dvh = lc["probs"].transpose(0, 1, 3, 2) @ dctx_h
-        dscores = _softmax_backward(dprobs, lc["probs"])
-        dqh = dscores @ lc["kh"]
-        dqh *= scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ lc["qh"]
-        dkh *= scale
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
-        dx = dr1  # residual around attention
-        for name, dout in (("attn_wq", dq), ("attn_wk", dk), ("attn_wv", dv)):
-            dxi, dw, db = _linear_backward(dout, lc["x"], params[pre + name])
-            grads[pre + name] += dw
-            grads[pre + name.replace("w", "b")] += db
-            dx += dxi
-        dh = dx
+        dh = _layer_backward(params, config, f"l{i}.", stages[i + 1], stages[i]["h"], dh, grads)
 
-    de, dg, db = _layernorm_backward(dh, cache["emb_ln"])
+    emb = stages[0]
+    de, dg, db = _layernorm_backward(dh, (emb["xhat"], emb["inv"], params["emb_ln_g"]))
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
     np.add.at(grads["tok_emb"], ids, de)

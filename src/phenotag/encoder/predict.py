@@ -27,7 +27,6 @@ so call order cannot change a bit.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from ..corpus import Document, EncodedSentence, EntitySpan, decode_bio, encode_corpus
 from ..tokenizer import Vocabulary
+from . import model
 from .checkpoint import Checkpoint
 from .model import tag_logits
 
@@ -49,12 +49,6 @@ def _windows(n_pieces: int, budget: int, stride: int) -> list[tuple[int, int]]:
     if starts[-1] + budget < n_pieces:
         starts.append(n_pieces - budget)
     return [(s, s + budget) for s in starts]
-
-
-def _workers() -> int:
-    """The CPUs this process may run on (all of them where that is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _tag_chunk(
@@ -125,7 +119,7 @@ def predict(
                 emit(sent, tag_ids)
         waiting.clear()
 
-    pool = ThreadPoolExecutor(_workers())
+    pool = ThreadPoolExecutor(model._workers())
     try:
         for sent in encode_corpus(docs, vocab):
             key = tuple(sent.ids)

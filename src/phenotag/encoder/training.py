@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from ..corpus import Document, EntitySpan, IGNORE_ID, encode_bio, encode_corpus
 from ..errors import ConfigurationError, TrainingError, ValidationError
 from ..tokenizer import Vocabulary
+from . import model
 from .checkpoint import Checkpoint
 from .model import forward_hidden, mlm_loss_and_grads, ner_loss_and_grads
 
@@ -47,8 +49,33 @@ def _check_mask_frac(mask_frac: float) -> None:
         raise ConfigurationError(f"mask_frac must be in (0, 1], got {mask_frac}")
 
 
+def _shares(tensors: dict[str, np.ndarray], n: int) -> list[list[tuple[str, slice]]]:
+    """Row ranges of the tensors, in order, cut into at most ``n`` shares of
+    about equal size: small tensors are grouped, a large one is cut by rows."""
+    size = -(-sum(t.size for t in tensors.values()) // n)
+    shares: list[list[tuple[str, slice]]] = [[]]
+    room = size
+    for name, t in tensors.items():
+        width = t.size // len(t)
+        lo = 0
+        while lo < len(t):
+            if room <= 0:
+                shares.append([])
+                room = size
+            hi = min(len(t), lo - (-room // width))
+            shares[-1].append((name, slice(lo, hi)))
+            room -= (hi - lo) * width
+            lo = hi
+    return shares
+
+
 class Adam:
-    """Adam with bias correction over a flat parameter dict."""
+    """Adam with bias correction over a flat parameter dict.
+
+    A step cuts the tensors into one share per training thread (``tok_emb``
+    by rows) and updates the shares on the encoder's pool; an element's
+    update does not depend on its share.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
@@ -60,24 +87,29 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        # In place, in the operation order of
-        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-        for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            gg = (1.0 - _BETA2) * g
-            gg *= g
-            v += gg
-            upd = np.divide(m, bc1)
-            upd *= self.lr
-            den = np.divide(v, bc2, out=gg)
-            np.sqrt(den, out=den)
-            den += _EPS
-            upd /= den
-            params[k] -= upd
+
+        def update(share: list[tuple[str, slice]]) -> None:
+            # In place, in the operation order of
+            #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+            for k, r in share:
+                m, v, g = self.m[k][r], self.v[k][r], grads[k][r]
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                gg = (1.0 - _BETA2) * g
+                gg *= g
+                v += gg
+                upd = np.divide(m, bc1)
+                upd *= self.lr
+                den = np.divide(v, bc2, out=gg)
+                np.sqrt(den, out=den)
+                den += _EPS
+                upd /= den
+                params[k][r] -= upd
+
+        shares = _shares(grads, model._training_threads())
+        model._run_all([partial(update, share) for share in shares])
 
 
 def _bracket(seq: Sequence[int], first: int, last: int, max_positions: int) -> list[int]:

@@ -4,6 +4,8 @@ import itertools
 import platform
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from phenotag.encoder import (
     pretrain_mlm,
     save_checkpoint,
 )
+from phenotag.encoder import model as model_module
 from phenotag.encoder import training
 from phenotag.encoder.model import init_params, ner_loss_and_grads, tag_logits
 from phenotag.errors import ConfigurationError, TrainingError, ValidationError
@@ -453,7 +456,7 @@ class TestBatchedPrediction:
     ):
         if chunk is not None:
             monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
-        monkeypatch.setattr(self.predict_module, "_workers", lambda: workers)
+        monkeypatch.setattr(model_module, "_workers", lambda: workers)
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, 16)
         expected = _reference_predict(ck, repeated_docs, vocab)
@@ -495,7 +498,7 @@ from phenotag.basevocab import default_vocabulary
 from phenotag.corpus import load_corpus
 from phenotag.encoder import ModelConfig, init_model, predict
 
-module = importlib.import_module("phenotag.encoder.predict")
+module = importlib.import_module("phenotag.encoder.model")
 vocab = default_vocabulary()
 ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
 docs = load_corpus(sys.argv[1])
@@ -514,7 +517,7 @@ from phenotag.corpus import Document
 from phenotag.encoder import Adam, ModelConfig, init_model, predict
 from phenotag.encoder.model import ner_loss_and_grads
 
-importlib.import_module("phenotag.encoder.predict")._workers = lambda: 2
+importlib.import_module("phenotag.encoder.model")._workers = lambda: 2
 vocab = default_vocabulary()
 ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
 rng = np.random.default_rng(0)
@@ -539,7 +542,7 @@ class TestPooledPrediction:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_spans_equal_the_per_window_loop(self, mixed_docs, monkeypatch, workers):
-        monkeypatch.setattr(self.predict_module, "_workers", lambda: workers)
+        monkeypatch.setattr(model_module, "_workers", lambda: workers)
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, 16)
         expected = _reference_predict(ck, mixed_docs, vocab)
@@ -590,7 +593,7 @@ class TestPooledPrediction:
             return real(params, config, ids, mask)
 
         monkeypatch.setattr(self.predict_module, "tag_logits", failing)
-        monkeypatch.setattr(self.predict_module, "_workers", lambda: 2)
+        monkeypatch.setattr(model_module, "_workers", lambda: 2)
         with pytest.raises(ConfigurationError) as raised:
             predict_corpus(ck, mixed_docs, vocab)
         assert raised.value is error
@@ -638,12 +641,127 @@ class TestDeterminismAcrossBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+# pre-trained and fine-tuned checkpoint digests, one line per pool size
+_SHARDED_TRAINING_CHECK = '''
+import hashlib, sys
+from pathlib import Path
+from phenotag.basevocab import default_vocabulary
+from phenotag.encoder import (
+    FinetuneConfig, ModelConfig, finetune_ner, init_model, pretrain_mlm, save_checkpoint,
+)
+from phenotag.encoder import model
+from phenotag.synthesis import generate_synthetic
+
+vocab = default_vocabulary()
+docs = generate_synthetic(5, 12)
+cases = (  # (config, pre-training batch, fine-tuning batch)
+    (ModelConfig(vocab_size=len(vocab)), 5, 7),
+    (ModelConfig(vocab_size=len(vocab), max_positions=3), 3, 2),
+)
+path = Path(sys.argv[1]) / "out.ckpt"
+for workers in (1, 2, 3, 4):
+    model._training_threads = lambda: workers
+    digests = []
+    for config, pretrain_batch, finetune_batch in cases:
+        pre, _ = pretrain_mlm(init_model(config, vocab), docs, vocab, steps=3,
+                              batch_size=pretrain_batch, seed=0)
+        tuned, _ = finetune_ner(pre, docs, vocab,
+                                FinetuneConfig(batch_size=finetune_batch, epochs=1))
+        for ckpt in (pre, tuned):
+            save_checkpoint(ckpt, path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    print(" ".join(digests))
+'''
+
+# the same checkpoints written by the serial step before the pool came in
+_SERIAL_DIGESTS = [
+    "74fb17b32541b089fe7cf8af21da4daafd2bcc57e35ff54c7e7f014752a8cba3",
+    "60019a452e8d36b2b3d3da755325c0731e3b5ba060791e983904279f8e655619",
+    "241ed38fd3331d1b2339a9f70f21588bf9f45e2dac2d6b317be0e02db9a57aea",
+    "33972c04c587c910d065a473c79f688b79849d85a4945f0556ccc31323abd3fd",
+]
+
+
+class TestShardedTraining:
+    """A training step's forward runs as row shards and its backward beside
+    the weight gradients on a thread pool; checkpoints keep the serial bytes."""
+
+    def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path):
+        # Batches of 5, 7, 3 and 2 rows: odd counts, batches smaller than the
+        # pool, 1-row shards; the second model's rows are [CLS] piece [SEP].
+        # BLAS runs one thread: the tied decoder's bytes still depend on
+        # that count.
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHARDED_TRAINING_CHECK, str(tmp_path)],
+            capture_output=True, text=True, timeout=300,
+            env=child_env(OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split() for line in proc.stdout.splitlines()] == [_SERIAL_DIGESTS] * 4
+
+    def test_four_threads_switching_often_give_the_serial_steps(self, monkeypatch):
+        # more threads than a 2-core machine has, trading the interpreter
+        # every 10 us: a lost or doubled gradient update would change the bits
+        config = ModelConfig(vocab_size=2585)
+        rng = np.random.default_rng(3)
+        ids = rng.integers(5, config.vocab_size, (7, 23))
+        mask = (np.arange(23) < rng.integers(3, 24, (7, 1))).astype(np.float64)
+        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (7, 23)), -1)
+        trained = []
+        for threads in (1, 4):
+            monkeypatch.setattr(model_module, "_training_threads", lambda: threads)
+            params = init_params(config)
+            adam = Adam(params, 1e-3)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for _ in range(3):
+                    _, _, grads = ner_loss_and_grads(params, config, ids, mask, tags)
+                    adam.step(params, grads)
+            finally:
+                sys.setswitchinterval(interval)
+            trained.append(params)
+        assert all(np.array_equal(trained[0][k], trained[1][k]) for k in trained[0])
+
+    def test_error_in_a_pool_thread_reaches_the_caller_after_every_shard_ends(
+        self, monkeypatch
+    ):
+        config = ModelConfig(vocab_size=40, n_layers=1, d_model=16, n_heads=2, d_ff=32,
+                             max_positions=8)
+        params = init_params(config)
+        ids = np.arange(5, 13)[:, None] + np.zeros(6, dtype=np.int64)  # row r starts 5 + r
+        real = model_module._forward_rows
+        error = ConfigurationError("shard failed")
+        ended, failed_on = [], []
+
+        def second_shard_fails(params, config, ids, mask, stages):
+            first = int(ids[0, 0]) - 5
+            if first == 2:  # rows 2-3, dealt to a pool thread
+                failed_on.append(threading.current_thread())
+                raise error
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.3)  # still running when the calling thread's shard ends
+            h = real(params, config, ids, mask, stages)
+            ended.append(first)
+            return h
+
+        monkeypatch.setattr(model_module, "_training_threads", lambda: 4)
+        monkeypatch.setattr(model_module, "_forward_rows", second_shard_fails)
+        with pytest.raises(ConfigurationError) as raised:
+            ner_loss_and_grads(params, config, ids, np.ones(ids.shape), np.zeros_like(ids))
+        assert raised.value is error
+        assert sorted(ended) == [0, 4, 6]
+        assert failed_on and failed_on[0] is not threading.main_thread()
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the allocator tunables are set only under glibc")
-def test_training_step_reuses_memory_without_page_faults():
+def test_training_step_reuses_memory_without_page_faults(monkeypatch):
     """Freed activations stay in the process: after warm-up a fine-tuning step
-    at batch 32 x 40 first-touches almost no new pages."""
+    at batch 32 x 40 on two training threads first-touches almost no new pages."""
     import resource  # POSIX only, like the glibc this test needs
+
+    monkeypatch.setattr(model_module, "_training_threads", lambda: 2)
 
     config = ModelConfig(vocab_size=2585)
     params = init_params(config)

@@ -52,3 +52,34 @@ class TestGradCheck:
         a = grad_check(ZERO_LAYER, coords_per_tensor=16)
         b = grad_check(ZERO_LAYER, coords_per_tensor=16)
         assert a.max_rel_error == b.max_rel_error
+
+
+def test_one_row_shards_give_the_serial_gradients(monkeypatch):
+    # at pool size 2 the 2-row probe's forward runs as two 1-row shards
+    from phenotag.encoder import model
+
+    real_shards = model._row_shards
+    cut, grads = [], {}
+
+    def recording_shards(rows):
+        cut.append(real_shards(rows))
+        return cut[-1]
+
+    def first_grads(name, real):
+        def record(*args):
+            loss, acc, g = real(*args)
+            grads.setdefault((workers, name), g)
+            return loss, acc, g
+        return record
+
+    monkeypatch.setattr(model, "_row_shards", recording_shards)
+    for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
+        monkeypatch.setattr(gradcheck_module, name,
+                            first_grads(name, getattr(gradcheck_module, name)))
+    for workers in (1, 2):
+        monkeypatch.setattr(model, "_training_threads", lambda: workers)
+        assert grad_check().max_rel_error <= 1e-4
+    assert cut[-1] == [slice(0, 1), slice(1, 2)]
+    for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
+        serial, sharded = grads[(1, name)], grads[(2, name)]
+        assert all(np.array_equal(serial[k], sharded[k]) for k in serial)

@@ -1,6 +1,7 @@
 """Guards on the shape of the source tree, read with ``ast``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import phenotag
@@ -99,3 +100,21 @@ def test_every_definition_is_used():
     used.add("masked_accuracy")
     unused = sorted(f"{where} {name}" for name, where in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # benchmark/tracing.py wraps these names with owner.__dict__[attr]; a
+    # renamed or moved function would crash every traced benchmark run.
+    import importlib.util
+
+    path = PACKAGE.parents[1] / "benchmark" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("phenotag_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclass
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, module, attr in tracing.TARGETS + tracing.CLI_TARGETS:
+        owner, key = tracing._resolve(module, attr)
+        if not callable(owner.__dict__.get(key)):
+            missing.append(name)
+    assert not missing, missing
