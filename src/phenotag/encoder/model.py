@@ -282,8 +282,10 @@ def _other_cpus() -> set[int] | None:
 
 
 @cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads)
+def _pool() -> ThreadPoolExecutor:
+    """The process's one training pool: a thread per usable CPU but the
+    caller's, however many threads each step asks for."""
+    return ThreadPoolExecutor(max(1, _workers() - 1))
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
@@ -310,7 +312,7 @@ def _run_all(calls: list[Callable[[], object]]) -> None:
 
     if threads <= 1:
         return run(calls)
-    pool, cpus = _pool(threads - 1), _other_cpus()
+    pool, cpus = _pool(), _other_cpus()
     futures = [pool.submit(run, calls[j::threads], cpus) for j in range(1, threads)]
     try:
         run(calls[::threads])

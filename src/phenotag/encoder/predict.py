@@ -11,18 +11,18 @@ padded and the mask is all ones, so every row attends over exactly its own
 positions, softmax sums keep their length, and each row's logits are the same
 bits as a call with that row alone: batching changes the speed, not the spans.
 
-Within one call each distinct sentence is tagged once. Tag ids are kept by
-sentence ids, so sentences that differ only in case or spacing share one row.
-Sentences whose ids are not tagged yet wait until ``CHUNK_SENTENCES`` distinct
-ones have gathered; their windows are then tagged together, and each waiting
+Within one call each distinct sentence is tagged once. Sentences are keyed by
+their ids, so sentences that differ only in case or spacing share one row.
+The distinct sentences of the call are tagged together in one pass, and each
 occurrence is decoded with its own tokens and offset. Since a row's logits do
 not depend on the rows stacked with it, dropping repeated rows changes the
-speed, not the spans. The memory held grows with the number of distinct
-sentences, not with the corpus, and nothing outlives the call.
+speed, not the spans. The memory held grows with the call's sentences; of
+the forward's output only tag ids are kept, not logits, and nothing outlives
+the call.
 
-A chunk's calls run on a pool of one thread per usable CPU, whatever the BLAS
-thread count (numpy and scipy release the GIL); results are kept by window,
-so call order cannot change a bit.
+The ``tag_logits`` calls run on a pool of one thread per usable CPU, whatever
+the BLAS thread count (numpy and scipy release the GIL); results are kept by
+window, so call order cannot change a bit.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Document, EncodedSentence, EntitySpan, decode_bio, encode_corpus
+from ..corpus import Document, EntitySpan, decode_bio, encode_corpus
 from ..tokenizer import Vocabulary
 from . import model
 from .checkpoint import Checkpoint
 from .model import tag_logits
 
-CHUNK_SENTENCES = 512  # distinct sentences tagged together
 BATCH_TOKENS = 1024  # positions, [CLS] and [SEP] included, per tag_logits call
 
 
@@ -51,38 +50,45 @@ def _windows(n_pieces: int, budget: int, stride: int) -> list[tuple[int, int]]:
     return [(s, s + budget) for s in starts]
 
 
-def _tag_chunk(
-    ckpt: Checkpoint, vocab: Vocabulary, chunk: list[tuple[int, ...]],
-    pool: ThreadPoolExecutor,
+def _tag_rows(params, config, ids: np.ndarray) -> np.ndarray:
+    """Tag ids for each row's pieces, [CLS] and [SEP] left out."""
+    return tag_logits(params, config, ids, np.ones(ids.shape))[:, 1:-1].argmax(-1)
+
+
+def _tag(
+    ckpt: Checkpoint, vocab: Vocabulary, sents: list[tuple[int, ...]]
 ) -> list[list[int]]:
-    """Tag ids per piece for each sentence's ids in ``chunk``."""
+    """Tag ids per piece for each sentence's ids in ``sents``."""
     budget = ckpt.config.max_positions - 2
     stride = max(1, budget // 2)
-    windows = [_windows(len(ids), budget, stride) for ids in chunk]
+    windows = [_windows(len(ids), budget, stride) for ids in sents]
     by_length: dict[int, list[tuple[int, int]]] = {}
     for i, sent_windows in enumerate(windows):
         for ws, we in sent_windows:
             by_length.setdefault(we - ws, []).append((i, ws))
 
-    calls = []
-    for length, keys in by_length.items():
-        rows = max(1, BATCH_TOKENS // (length + 2))
-        for b in range(0, len(keys), rows):
-            batch = keys[b : b + rows]
-            ids = np.empty((len(batch), length + 2), dtype=np.int64)
-            ids[:, 0] = vocab.cls_id
-            ids[:, -1] = vocab.sep_id
-            for row, (i, ws) in zip(ids, batch):
-                row[1:-1] = chunk[i][ws : ws + length]
-            calls.append((batch, pool.submit(
-                tag_logits, ckpt.params, ckpt.config, ids, np.ones(ids.shape))))
-    window_tags: dict[tuple[int, int], np.ndarray] = {}
-    for batch, call in calls:
-        window_tags.update(zip(batch, call.result()[:, 1:-1].argmax(-1)))
+    pool = ThreadPoolExecutor(model._workers())
+    try:
+        calls = []
+        for length, keys in by_length.items():
+            rows = max(1, BATCH_TOKENS // (length + 2))
+            for b in range(0, len(keys), rows):
+                batch = keys[b : b + rows]
+                ids = np.empty((len(batch), length + 2), dtype=np.int64)
+                ids[:, 0] = vocab.cls_id
+                ids[:, -1] = vocab.sep_id
+                for row, (i, ws) in zip(ids, batch):
+                    row[1:-1] = sents[i][ws : ws + length]
+                calls.append((batch, pool.submit(_tag_rows, ckpt.params, ckpt.config, ids)))
+        window_tags: dict[tuple[int, int], np.ndarray] = {}
+        for batch, call in calls:
+            window_tags.update(zip(batch, call.result()))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     tags = []
     for i, sent_windows in enumerate(windows):
-        n = len(chunk[i])
+        n = len(sents[i])
         best_dist = np.full(n, np.inf)
         tag_of = np.zeros(n, dtype=np.int64)
         for ws, we in sent_windows:
@@ -102,36 +108,15 @@ def predict(
     The vocabulary must be the one the checkpoint was trained with.
     """
     ckpt.check_vocab(vocab)
+    sents = list(encode_corpus(docs, vocab))
+    distinct = list(dict.fromkeys(tuple(sent.ids) for sent in sents))
+    tags = dict(zip(distinct, _tag(ckpt, vocab, distinct)))
     spans: list[list[EntitySpan]] = [[] for _ in docs]
-    tags: dict[tuple[int, ...], list[int]] = {}  # tag ids by sentence ids
-    waiting: dict[tuple[int, ...], list[EncodedSentence]] = {}  # by ids not tagged yet
-
-    def emit(sent: EncodedSentence, tag_ids: list[int]) -> None:
-        for span in decode_bio(tag_ids, sent.tokens):
+    for sent in sents:
+        for span in decode_bio(tags[tuple(sent.ids)], sent.tokens):
             spans[sent.doc].append(EntitySpan(
                 span.start_char + sent.offset, span.end_char + sent.offset, span.label,
             ))
-
-    def tag_waiting() -> None:
-        for key, tag_ids in zip(waiting, _tag_chunk(ckpt, vocab, list(waiting), pool)):
-            tags[key] = tag_ids
-            for sent in waiting[key]:
-                emit(sent, tag_ids)
-        waiting.clear()
-
-    pool = ThreadPoolExecutor(model._workers())
-    try:
-        for sent in encode_corpus(docs, vocab):
-            key = tuple(sent.ids)
-            if key in tags:
-                emit(sent, tags[key])
-                continue
-            waiting.setdefault(key, []).append(sent)
-            if len(waiting) == CHUNK_SENTENCES:
-                tag_waiting()
-        tag_waiting()
-    finally:
-        pool.shutdown(cancel_futures=True)
     for doc_spans in spans:
         doc_spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
     return spans

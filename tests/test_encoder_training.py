@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import importlib
 import itertools
+import math
 import platform
 import subprocess
 import sys
@@ -416,13 +418,8 @@ class TestBatchedPrediction:
 
     predict_module = importlib.import_module("phenotag.encoder.predict")
 
-    @pytest.mark.parametrize("max_positions, chunk", [
-        (8, None), (16, None), (40, None), (16, 5),
-    ])
-    def test_spans_equal_the_per_window_loop(self, mixed_docs, monkeypatch,
-                                             max_positions, chunk):
-        if chunk is not None:
-            monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
+    @pytest.mark.parametrize("max_positions", [8, 16, 40])
+    def test_spans_equal_the_per_window_loop(self, mixed_docs, max_positions):
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, max_positions)
         expected = _reference_predict(ck, mixed_docs, vocab)
@@ -449,13 +446,39 @@ class TestBatchedPrediction:
         batch_tokens = self.predict_module.BATCH_TOKENS
         assert all(rows == 1 or rows * length <= batch_tokens for rows, length in shapes)
 
-    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_every_call_is_full_but_the_last_of_each_length(self, monkeypatch):
+        # Each note ends with two measurements no other note has, so its
+        # distinct sentences are spread through the corpus; all of them are
+        # stacked at once, so only one call per window length is short.
+        docs = [
+            Document(d.doc_id, f"{d.text} Tumor size {2 * i} mm. Tumor size {2 * i + 1} mm.", [])
+            for i, d in enumerate(generate_synthetic(21, 300))
+        ]
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        calls = []
+        real = self.predict_module.tag_logits
+
+        def counting(params, config, ids, mask):
+            calls.append(ids.shape)
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", counting)
+        predict(ck, docs, vocab)
+        distinct = {tuple(sent.ids) for sent in encode_corpus(docs, vocab)}
+        assert len(distinct) > 800
+        windows = collections.Counter(
+            we - ws for ids in distinct for ws, we in _reference_windows(len(ids), 14, 7)
+        )
+        batch_tokens = self.predict_module.BATCH_TOKENS
+        assert len(calls) == sum(
+            math.ceil(n / (batch_tokens // (length + 2))) for length, n in windows.items()
+        )
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_repeated_sentences_tagged_once_with_their_own_spans(
-        self, repeated_docs, monkeypatch, chunk, workers
+        self, repeated_docs, monkeypatch, workers
     ):
-        if chunk is not None:
-            monkeypatch.setattr(self.predict_module, "CHUNK_SENTENCES", chunk)
         monkeypatch.setattr(model_module, "_workers", lambda: workers)
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, 16)
@@ -535,7 +558,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 class TestPooledPrediction:
-    """A chunk's tag_logits calls run on a thread pool; the spans are those of
+    """The tag_logits calls run on a thread pool; the spans are those of
     one call per window, whatever the pool size and BLAS thread count."""
 
     predict_module = TestBatchedPrediction.predict_module
@@ -752,6 +775,23 @@ class TestShardedTraining:
         assert raised.value is error
         assert sorted(ended) == [0, 4, 6]
         assert failed_on and failed_on[0] is not threading.main_thread()
+
+    def test_steps_of_any_thread_count_share_one_pool(self, monkeypatch):
+        # Every share waits for all the others, so each needs a thread of its
+        # own; the step sizes follow the machine's load, and a pool per size
+        # would leave 1 + 2 + 3 idle threads behind.
+        monkeypatch.setattr(model_module, "_workers", lambda: 4)
+        model_module._pool.cache_clear()
+        before = set(threading.enumerate())
+        try:
+            for threads in (2, 3, 4):
+                monkeypatch.setattr(model_module, "_training_threads", lambda: threads)
+                barrier = threading.Barrier(threads, timeout=60)
+                model_module._run_all([barrier.wait] * threads)
+            started = set(threading.enumerate()) - before
+            assert len(started) <= 3, len(started)
+        finally:
+            model_module._pool.cache_clear()  # its threads end with the pool
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

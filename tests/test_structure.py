@@ -59,6 +59,16 @@ def test_one_training_loop():
     assert call_sites("step") == loop
 
 
+def test_two_thread_pools():
+    # Training's steps share one pool for the process; prediction sizes its
+    # own to every usable CPU for the length of a call. A third pool has to
+    # be argued for.
+    assert call_sites("ThreadPoolExecutor") == {
+        "phenotag.encoder.model._pool",
+        "phenotag.encoder.predict._tag",
+    }
+
+
 def test_tag_layout_is_known_only_to_the_codec():
     # encode_bio and decode_bio speak tag ids; which id is B-, I- or O of
     # which label is corpus.py's business alone.
