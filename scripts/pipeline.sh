@@ -16,12 +16,14 @@
 # "pipeline complete". On exit, for any reason, it stops every command it
 # started that is still running.
 #
-# Each process gets one BLAS thread unless the caller set the count: with two
-# processes on two cores, unpinned OpenBLAS threads contend and the pipeline
-# runs slower than one command at a time. predict uses every usable core
-# whatever this pin: its forward calls run on a pool of one thread per CPU
-# and give the same bytes at any pool size. A training step uses the cores
-# that one-thread BLAS and the other jobs leave free, with the same bytes.
+# Each process gets one BLAS thread unless the caller set the count. This is
+# for speed only: the encoder holds numpy's OpenBLAS at one thread itself, so
+# the files are the same at any count, but an unpinned OpenBLAS first starts
+# a thread per CPU, and importing numpy and the encoder took ~0.15 s longer
+# per process. predict uses every usable core: its forward calls run on a
+# pool of one thread per CPU and give the same bytes at any pool size. A
+# training step uses the cores that the other jobs leave free, with the same
+# bytes.
 #
 # Usage: scripts/pipeline.sh [OUT_DIR]
 # Environment: PHENOTAG_PY (python executable, default python3),

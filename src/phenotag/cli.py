@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -109,18 +110,16 @@ def _load_vocab_arg(spec: str):
 def cmd_synth(args) -> int:
     corpus = generate_synthetic(args.seed, args.docs)
     out = _out_path(args.out)
-    save_corpus(corpus, out)
-    if args.test_fraction > 0:
-        split_seed = args.split_seed if args.split_seed is not None else args.seed
-        train, test = split_corpus(corpus, args.test_fraction, split_seed)
-        save_corpus(train, out.with_suffix(".train.jsonl"))
-        save_corpus(test, out.with_suffix(".test.jsonl"))
-        print(
-            f"wrote {len(corpus)} documents ({len(train)} train / {len(test)} test) "
-            f"to {out}"
-        )
-    else:
+    if args.test_fraction == 0:
+        save_corpus(corpus, out)
         print(f"wrote {len(corpus)} documents to {out}")
+        return 0
+    split_seed = args.split_seed if args.split_seed is not None else args.seed
+    train, test = split_corpus(corpus, args.test_fraction, split_seed)
+    save_corpus(corpus, out)
+    save_corpus(train, out.with_suffix(".train.jsonl"))
+    save_corpus(test, out.with_suffix(".test.jsonl"))
+    print(f"wrote {len(corpus)} documents ({len(train)} train / {len(test)} test) to {out}")
     return 0
 
 
@@ -400,6 +399,8 @@ def cmd_kappa(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .encoder import grad_check
 
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise PhenotagError(f"tolerance must be a positive finite number, got {args.tolerance}")
     result = grad_check(
         _model_config(args, args.vocab_size),
         epsilon=args.epsilon,

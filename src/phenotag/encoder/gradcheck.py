@@ -85,6 +85,8 @@ def grad_check(
         raise ConfigurationError(
             "grad_check requires a tiny config (n_layers <= 2, d_model <= 16)"
         )
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError(f"epsilon must be a positive finite number, got {epsilon}")
     if coords_per_tensor < 1:
         raise ConfigurationError(
             f"coords_per_tensor must be >= 1, got {coords_per_tensor}"

@@ -17,9 +17,9 @@ plain expressions, so results are bitwise the same with fewer allocations.
 ``tag_logits`` runs the training forward's kernels in the same order but
 keeps no backward cache, so a call never holds every layer's activations.
 
-A training step runs on every CPU that the process may use and that BLAS
-and other processes leave free, and gives the bits of a serial step at any
-thread count. The forward with a cache cuts the padded batch into one row
+A training step runs on every CPU that the process may use and that other
+processes leave free, and gives the bits of a serial step at any thread
+count. The forward with a cache cuts the padded batch into one row
 slice per thread, never re-padded, and runs the slices on a thread pool,
 the calling thread taking the first; each writes its rows of whole-batch
 arrays. Every forward kernel computes a row from that row alone
@@ -34,14 +34,16 @@ made ready, each a whole-batch call in the serial operands and order. The
 loss heads run on the calling thread, and the cache-free forward never uses
 the pool, so prediction's threads never nest in it.
 
-Importing this module sets three glibc ``mallopt`` tunables for the process,
-so the activation memory each training step frees (~23 MB at batch 32 x 40)
-stays in the heap for the next step instead of going back to the OS and
-being page-faulted in again: blocks up to 32 MiB come from the heap, and the
-heap is trimmed only above 64 MiB free (setting only one of these would fix
-glibc's dynamic mmap threshold at 128 KiB). The third caps malloc at one
-arena, so prediction's worker threads reuse what training freed instead of
-each growing an arena. Other C libraries are left alone.
+Importing this module holds numpy's OpenBLAS at one thread for the process,
+so a product's bytes never follow the caller's thread settings, and sets
+three glibc ``mallopt`` tunables: the activation memory each training step
+frees (~23 MB at batch 32 x 40) then stays in the heap for the next step
+instead of going back to the OS and being page-faulted in again. Blocks up
+to 32 MiB come from the heap, and the heap is trimmed only above 64 MiB free
+(setting only one of these would fix glibc's dynamic mmap threshold at
+128 KiB). The third caps malloc at one arena, so prediction's worker threads
+reuse what training freed instead of each growing an arena. Other C
+libraries are left alone.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ def _keep_freed_memory() -> None:
 
 
 _keep_freed_memory()
+
+
+try:  # the symbol is local to numpy's extension: look it up through its handle
+    _set_blas_threads = ctypes.CDLL(
+        np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    _set_blas_threads.argtypes, _set_blas_threads.restype = (ctypes.c_int,), None
+    _set_blas_threads(1)
+except (OSError, AttributeError):  # numpy links another BLAS
+    _set_blas_threads = None
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -233,32 +244,18 @@ def _workers() -> int:
 
 
 def _training_threads() -> int:
-    """Threads for a training step: one per CPU that its large products leave
-    free and that no other thread is running on now.
-
-    OpenBLAS runs a large product on the threads its environment names, and
-    on every CPU when none is named; its idle threads then spin, and a
-    training thread beside them only slows the step down. Likewise a pool
-    thread that shares its CPU with another process waits out that
-    process's time slice at every hand-off.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return max(1, min(_workers() // int(value), _idle_cpus()))
-    return 1
-
-
-def _idle_cpus() -> int:
-    """The usable CPUs less the other threads runnable on the machine now
-    (``/proc/loadavg`` counts them with the caller); all of them where that
-    is unknown."""
+    """Threads for a training step: one per usable CPU that no other thread
+    is running on now (``/proc/loadavg`` counts them with the caller), all of
+    them where that is unknown; one where numpy links another BLAS than the
+    OpenBLAS pinned at import, whose own threads would contend with the pool's."""
+    if _set_blas_threads is None:
+        return 1
     try:
         with open("/proc/loadavg", encoding="ascii") as f:
             runnable = int(f.read().split()[3].split("/")[0])
     except (OSError, ValueError, IndexError):
         return _workers()
-    return _workers() - runnable + 1
+    return max(1, _workers() - runnable + 1)
 
 
 try:

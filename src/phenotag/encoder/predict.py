@@ -20,9 +20,9 @@ speed, not the spans. The memory held grows with the call's sentences; of
 the forward's output only tag ids are kept, not logits, and nothing outlives
 the call.
 
-The ``tag_logits`` calls run on a pool of one thread per usable CPU, whatever
-the BLAS thread count (numpy and scipy release the GIL); results are kept by
-window, so call order cannot change a bit.
+The ``tag_logits`` calls run on a pool of one thread per usable CPU, each
+with one BLAS thread (see ``model``; numpy and scipy release the GIL);
+results are kept by window, so call order cannot change a bit.
 """
 
 from __future__ import annotations

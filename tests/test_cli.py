@@ -262,6 +262,26 @@ class TestExitCodes:
         assert "max_positions must be >= 3" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--epsilon", "0", "epsilon"),
+        ("--epsilon", "nan", "epsilon"),
+        ("--tolerance", "nan", "tolerance"),  # would pass whatever the error
+        ("--tolerance", "-1", "tolerance"),
+    ])
+    def test_bad_gradcheck_setting_is_one_line_error(self, tmp_path, capsys, flag, value,
+                                                     name):
+        out = tmp_path / "g.tsv"
+        assert run("gradcheck", "--coords", "1", flag, value, "--out", str(out)) == 1
+        assert f"{name} must be a positive finite number" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "nan"])
+    def test_test_fraction_outside_0_1_is_one_line_error(self, tmp_path, capsys, fraction):
+        out = tmp_path / "c.jsonl"
+        assert run("synth", "--docs", "5", "--test-fraction", fraction, "--out", str(out)) == 1
+        assert "test_fraction must be in (0, 1)" in one_line_error(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", [
         "stats", "predict", "coverage", "build-vocab", "kappa", "--config",
     ])

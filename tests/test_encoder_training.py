@@ -643,7 +643,70 @@ class TestMaskedAccuracy:
         assert 0.0 <= a <= 1.0
 
 
+# the CLI's training chain in a child: argv is the data directory, the output
+# directory and the checkpoint that fine-tuning starts from
+_TRAINING_CHAIN = """
+import sys
+from phenotag.cli import main
+
+data, out, start = sys.argv[1:]
+train = f"{data}/c.train.jsonl"
+for argv in (
+    ["pretrain", "--corpus", train, "--steps", "20", "--out", f"{out}/pretrained.ckpt"],
+    ["resize", "--ckpt", f"{out}/pretrained.ckpt", "--old-vocab", "default",
+     "--new-vocab", f"{data}/freq.txt", "--out", f"{out}/resized.ckpt"],
+    ["pretrain", "--corpus", train, "--vocab", f"{data}/freq.txt",
+     "--init-from", f"{out}/resized.ckpt", "--steps", "10", "--out", f"{out}/adapted.ckpt"],
+    ["finetune", "--ckpt", start, "--corpus", train, "--epochs", "1",
+     "--out", f"{out}/finetuned.ckpt"],
+):
+    if main(argv):
+        sys.exit(1)
+"""
+
+_BLAS_SETTINGS = ("1", "2", "4", None)  # None: OPENBLAS_NUM_THREADS unset
+
+
+@pytest.fixture(scope="class")
+def chain_digests(tmp_path_factory):
+    """{checkpoint name: [sha256 under each of _BLAS_SETTINGS]} for the
+    training chain, one child process per setting. Every child fine-tunes
+    from the one-thread child's pre-trained checkpoint; its epoch ends in a
+    16 x 35 batch, whose 560-row weight-gradient products OpenBLAS rounds
+    differently at two threads."""
+    from phenotag.cli import main
+
+    data = tmp_path_factory.mktemp("chain")
+    assert main(["synth", "--seed", "1", "--docs", "40", "--out", str(data / "c.jsonl")]) == 0
+    assert main(["build-vocab", "--mode", "freq", "--corpus", str(data / "c.train.jsonl"),
+                 "--out", str(data / "freq.txt")]) == 0
+    start = data / "1" / "pretrained.ckpt"
+    digests = collections.defaultdict(list)
+    for threads in _BLAS_SETTINGS:
+        out = data / str(threads)
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAINING_CHAIN, str(data), str(out), str(start)],
+            capture_output=True, text=True, timeout=600,
+            env=child_env(OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for path in sorted(out.glob("*.ckpt")):
+            digests[path.stem].append(hashlib.sha256(path.read_bytes()).hexdigest())
+    return digests
+
+
 class TestDeterminismAcrossBlasThreads:
+    """Importing the encoder holds numpy's OpenBLAS at one thread, so every
+    checkpoint has the same bytes whatever the caller's environment."""
+
+    @pytest.mark.parametrize("name", ["pretrained", "resized", "adapted", "finetuned"])
+    def test_chain_checkpoint_bytes_equal_under_1_2_4_and_unset_threads(
+        self, chain_digests, name
+    ):
+        assert len(chain_digests[name]) == len(_BLAS_SETTINGS)
+        assert len(set(chain_digests[name])) == 1, chain_digests[name]
+
     def test_finetune_checkpoint_bytes_equal_under_1_and_2_threads(self, tmp_path):
         vocab = default_vocabulary()
         corpus = tmp_path / "c.jsonl"

@@ -69,6 +69,19 @@ def test_two_thread_pools():
     }
 
 
+def test_no_module_reads_blas_thread_variables():
+    # The encoder holds numpy's BLAS at one thread itself; what it does must
+    # not depend on the caller's thread settings.
+    names = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+    found = sorted(
+        (path.name, node.value)
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in names
+    )
+    assert not found, found
+
+
 def test_tag_layout_is_known_only_to_the_codec():
     # encode_bio and decode_bio speak tag ids; which id is B-, I- or O of
     # which label is corpus.py's business alone.
