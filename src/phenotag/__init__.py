@@ -31,8 +31,6 @@ from .tokenizer import (
     wordpiece,
 )
 from .vocab_expand import (
-    CandidateFilters,
-    CandidateList,
     CoverageReport,
     coverage,
     default_curated_words,

@@ -51,7 +51,6 @@ from .synthesis import generate_synthetic
 from .tokenizer import basic_tokenize, load_vocab, save_vocab, tokenize
 from .tsne import tsne
 from .vocab_expand import (
-    CandidateFilters,
     coverage,
     default_curated_words,
     expand_curated,
@@ -114,8 +113,7 @@ def cmd_synth(args) -> int:
         save_corpus(corpus, out)
         print(f"wrote {len(corpus)} documents to {out}")
         return 0
-    split_seed = args.split_seed if args.split_seed is not None else args.seed
-    train, test = split_corpus(corpus, args.test_fraction, split_seed)
+    train, test = split_corpus(corpus, args.test_fraction, args.seed)
     save_corpus(corpus, out)
     save_corpus(train, out.with_suffix(".train.jsonl"))
     save_corpus(test, out.with_suffix(".test.jsonl"))
@@ -136,12 +134,7 @@ def cmd_build_vocab(args) -> int:
         if not args.corpus:
             raise PhenotagError("--corpus is required for frequency expansion")
         corpus = load_corpus(args.corpus)
-        filters = CandidateFilters(
-            min_count=args.min_count,
-            require_alpha=args.require_alpha,
-            min_len=args.min_len,
-        )
-        candidates = extract_candidates(corpus, base, filters)
+        candidates = extract_candidates(corpus, base, args.min_count)
         vocab = expand_frequency(base, candidates, args.k)
     else:  # curated
         words = (
@@ -437,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--docs", type=int, default=200)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -452,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus to mine candidates from (freq mode)")
     p.add_argument("--k", type=int, default=997)
     p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--require-alpha", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--wordlist", default="default", help="curated wordlist file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
@@ -571,27 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _boolean_flags(parser: argparse.ArgumentParser, command: str) -> set[str]:
-    """The command's on/off flags, by their positive form (--require-alpha)."""
-    (subparsers,) = parser._subparsers._group_actions
-    sub = subparsers.choices.get(command)
-    if sub is None:
-        return set()
-    return {
-        a.option_strings[0]
-        for a in sub._actions
-        if isinstance(a, argparse.BooleanOptionalAction)
-    }
-
-
-def _apply_config_file(
-    argv: list[str], parser: argparse.ArgumentParser
-) -> list[str]:
-    """Expand --config FILE into key=value flags placed before explicit ones.
-
-    An on/off flag takes true or false: key=true becomes --key and
-    key=false becomes --no-key.
-    """
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Expand --config FILE's key=value lines into --key value flags placed
+    before explicit ones."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -601,7 +573,6 @@ def _apply_config_file(
     rest = argv[:i] + argv[i + 2 :]
     if not rest:
         raise PhenotagError("--config needs a command to apply to")
-    boolean = _boolean_flags(parser, rest[0])
     injected: list[str] = []
     for _, raw in read_lines(config_path):
         line = raw.strip()
@@ -610,13 +581,7 @@ def _apply_config_file(
         key, sep, value = line.partition("=")
         if not sep:
             raise PhenotagError(f"{config_path}: malformed line {line!r}")
-        key, value = key.strip(), value.strip()
-        if f"--{key}" not in boolean:
-            injected.extend([f"--{key}", value])
-        elif value.lower() in ("true", "false"):
-            injected.append(f"--{key}" if value.lower() == "true" else f"--no-{key}")
-        else:
-            raise PhenotagError(f"{config_path}: {key} takes true or false, not {value!r}")
+        injected.extend([f"--{key.strip()}", value.strip()])
     # command first, then file-provided flags, then explicit flags (which win)
     return rest[:1] + injected + rest[1:]
 
@@ -625,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         code = args.func(args)
         if args.out:

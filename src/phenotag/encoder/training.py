@@ -49,67 +49,51 @@ def _check_mask_frac(mask_frac: float) -> None:
         raise ConfigurationError(f"mask_frac must be in (0, 1], got {mask_frac}")
 
 
-def _shares(tensors: dict[str, np.ndarray], n: int) -> list[list[tuple[str, slice]]]:
-    """Row ranges of the tensors, in order, cut into at most ``n`` shares of
-    about equal size: small tensors are grouped, a large one is cut by rows."""
-    size = -(-sum(t.size for t in tensors.values()) // n)
-    shares: list[list[tuple[str, slice]]] = [[]]
-    room = size
-    for name, t in tensors.items():
-        width = t.size // len(t)
-        lo = 0
-        while lo < len(t):
-            if room <= 0:
-                shares.append([])
-                room = size
-            hi = min(len(t), lo - (-room // width))
-            shares[-1].append((name, slice(lo, hi)))
-            room -= (hi - lo) * width
-            lo = hi
-    return shares
-
-
 class Adam:
     """Adam with bias correction over a flat parameter dict.
 
-    A step cuts the tensors into one share per training thread (``tok_emb``
-    by rows) and updates the shares on the encoder's pool; an element's
-    update does not depend on its share.
+    The moments are flat arrays over the tensors in the dict's order. A step
+    concatenates the gradients in that order, updates contiguous shares of
+    them on the encoder's pool (an element's update does not depend on its
+    share), then subtracts each tensor's slice of the update.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros(sum(p.size for p in params.values()))
+        self.v = np.zeros_like(self.m)
         self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
+        g = np.concatenate([grads[k].ravel() for k in params])
+        upd = np.empty_like(g)
 
-        def update(share: list[tuple[str, slice]]) -> None:
+        def update(r: slice) -> None:
             # In place, in the operation order of
             #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
             #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-            for k, r in share:
-                m, v, g = self.m[k][r], self.v[k][r], grads[k][r]
-                m *= _BETA1
-                m += (1.0 - _BETA1) * g
-                v *= _BETA2
-                gg = (1.0 - _BETA2) * g
-                gg *= g
-                v += gg
-                upd = np.divide(m, bc1)
-                upd *= self.lr
-                den = np.divide(v, bc2, out=gg)
-                np.sqrt(den, out=den)
-                den += _EPS
-                upd /= den
-                params[k][r] -= upd
+            m, v, gr, u = self.m[r], self.v[r], g[r], upd[r]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * gr
+            v *= _BETA2
+            gg = (1.0 - _BETA2) * gr
+            gg *= gr
+            v += gg
+            np.divide(m, bc1, out=u)
+            u *= self.lr
+            den = np.divide(v, bc2, out=gg)
+            np.sqrt(den, out=den)
+            den += _EPS
+            u /= den
 
-        shares = _shares(grads, model._training_threads())
-        model._run_all([partial(update, share) for share in shares])
+        model._run_all([partial(update, r) for r in model._row_shards(len(g))])
+        lo = 0
+        for p in params.values():
+            p -= upd[lo : lo + p.size].reshape(p.shape)
+            lo += p.size
 
 
 def _bracket(seq: Sequence[int], first: int, last: int, max_positions: int) -> list[int]:

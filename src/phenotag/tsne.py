@@ -12,8 +12,9 @@ numpy is imported inside each function, so `import phenotag` loads none.
 from __future__ import annotations
 
 import logging
+import math
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +111,12 @@ def tsne(
     thereafter. Requires n >= 4; perplexity above (n-1)/3 is clamped with a
     notice; duplicate points get a seeded epsilon jitter.
     """
+    if not (math.isfinite(perplexity) and perplexity > 0):
+        raise ConfigurationError(
+            f"perplexity must be a positive finite number, got {perplexity}"
+        )
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be >= 0, got {iterations}")
     import numpy as np
 
     x = np.asarray(embeddings, dtype=np.float64)

@@ -24,39 +24,23 @@ from .tokenizer import MAX_PLACEHOLDER_SLOTS, Vocabulary, basic_tokenize
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CandidateFilters:
-    """Filters applied to mined words before ranking."""
-
-    min_count: int = 5
-    require_alpha: bool = True
-    min_len: int = 2
-
-
-@dataclass(frozen=True)
-class CandidateList:
-    """Words absent from the base vocabulary, ranked by frequency then lexically."""
-
-    entries: tuple[tuple[str, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def words(self) -> list[str]:
-        return [w for w, _ in self.entries]
+# Mined words shorter than this, or with no letter (numerals such as "1.0"),
+# are never candidates.
+_MIN_LEN = 2
 
 
 def extract_candidates(
-    corpus: Sequence[Document],
-    vocab: Vocabulary,
-    filters: CandidateFilters = CandidateFilters(),
-) -> CandidateList:
+    corpus: Sequence[Document], vocab: Vocabulary, min_count: int = 5
+) -> list[str]:
     """Mine expansion candidates from corpus text.
 
-    Words come from the basic tokenizer (lowercased), are dropped if they are
-    whole-word vocabulary members or fail the filters, and are ranked by
+    Words come from the basic tokenizer (lowercased) and are dropped if they
+    are whole-word vocabulary members, occur fewer than ``min_count`` times,
+    are shorter than two characters or have no letter. The rest are ranked by
     frequency descending with lexicographic tie-breaks.
     """
+    if min_count < 1:
+        raise ConfigurationError(f"min_count must be >= 1, got {min_count}")
     counts: Counter[str] = Counter()
     for doc in corpus:
         for word, _, _ in basic_tokenize(doc.text):
@@ -65,12 +49,12 @@ def extract_candidates(
         (word, count)
         for word, count in counts.items()
         if word not in vocab
-        and count >= filters.min_count
-        and len(word) >= filters.min_len
-        and (not filters.require_alpha or any(c.isalpha() for c in word))
+        and count >= min_count
+        and len(word) >= _MIN_LEN
+        and any(c.isalpha() for c in word)
     ]
     kept.sort(key=lambda wc: (-wc[1], wc[0]))
-    return CandidateList(tuple(kept))
+    return [word for word, _ in kept]
 
 
 def _fill_slots(vocab: Vocabulary, words: Sequence[str]) -> Vocabulary:
@@ -88,8 +72,8 @@ def _fill_slots(vocab: Vocabulary, words: Sequence[str]) -> Vocabulary:
     return Vocabulary(tuple(tokens), rewritten_ids=tuple(rewritten))
 
 
-def expand_frequency(vocab: Vocabulary, candidates: CandidateList, k: int) -> Vocabulary:
-    """Overwrite placeholder slots with the top-k ranked candidate words.
+def expand_frequency(vocab: Vocabulary, candidates: Sequence[str], k: int) -> Vocabulary:
+    """Overwrite placeholder slots with the first k of the ranked candidate words.
 
     Raises CapacityError when k exceeds the free placeholder budget. When the
     candidate list is shorter than k, all candidates are used.
@@ -102,7 +86,7 @@ def expand_frequency(vocab: Vocabulary, candidates: CandidateList, k: int) -> Vo
             f"placeholder slots are free (the vocabulary permits at most "
             f"{MAX_PLACEHOLDER_SLOTS})"
         )
-    words = candidates.words()[:k]
+    words = candidates[:k]
     if len(words) < k:
         logger.info(
             "only %d candidates available for k=%d; using all", len(words), k

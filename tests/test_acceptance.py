@@ -41,7 +41,6 @@ from phenotag.evaluation import aggregate_runs, format_aggregate_table, match_sp
 from phenotag.tokenizer import UNK, tokenize, wordpiece
 from phenotag.tsne import joint_probabilities, tsne
 from phenotag.vocab_expand import (
-    CandidateList,
     coverage,
     default_curated_words,
     expand_curated,
@@ -130,7 +129,7 @@ class TestCriterion3Scorer:
 class TestCriterion4CapacityAndCoverage:
     def test_capacity_cap(self):
         vocab = make_vocab(placeholders=997)
-        candidates = CandidateList(tuple((f"w{i:04d}", 2000 - i) for i in range(1200)))
+        candidates = [f"w{i:04d}" for i in range(1200)]
         expanded = expand_frequency(vocab, candidates, k=997)
         assert len(expanded.placeholder_ids) == 0
         assert len(expanded.rewritten_ids) == 997

@@ -282,6 +282,33 @@ class TestExitCodes:
         assert "test_fraction must be in (0, 1)" in one_line_error(capsys)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("min_count", ["0", "-3"])
+    def test_min_count_below_one_is_one_line_error(self, tmp_path, capsys, min_count):
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--seed", "1", "--docs", "5", "--test-fraction", "0",
+            "--out", str(corpus))
+        out = tmp_path / "v.txt"
+        code = run("build-vocab", "--mode", "freq", "--corpus", str(corpus),
+                   "--min-count", min_count, "--out", str(out))
+        assert code == 1
+        assert "min_count must be >= 1" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--perplexity", "-1"), ("--perplexity", "nan"), ("--perplexity", "0"),
+        ("--iterations", "-3"),
+    ])
+    def test_bad_tsne_setting_is_one_line_error(self, tiny_model, tmp_path, capsys,
+                                                flag, value):
+        out = tmp_path / "coords.csv"
+        settings = {"--perplexity": "2", "--iterations": "5", flag: value}
+        code = run("tsne", "--ckpt", str(tiny_model["ckpt"]), "--vocab", tiny_model["base"],
+                   "--corpus", tiny_model["corpus"], *itertools.chain(*settings.items()),
+                   "--out", str(out))
+        assert code == 1
+        assert f"{flag[2:]} must be" in one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         "stats", "predict", "coverage", "build-vocab", "kappa", "--config",
     ])
@@ -330,29 +357,17 @@ class TestConfigFile:
         assert echo["docs"] == "4"      # config file fills the rest
         assert len(load_corpus(out)) == 4
 
-
-    def test_boolean_flag_true_and_false(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        run("synth", "--seed", "1", "--docs", "5", "--test-fraction", "0",
-            "--out", str(corpus))
-        for value, expected in [("false", "False"), ("true", "True"), ("False", "False")]:
-            cfg = tmp_path / "vocab.cfg"
-            cfg.write_text(f"require-alpha={value}\nmin-count=2\n")
-            out = tmp_path / f"v-{value}.txt"
-            assert run("build-vocab", "--config", str(cfg), "--mode", "freq",
-                       "--corpus", str(corpus), "--out", str(out)) == 0
-            echo = json.loads(out.with_name(out.name + ".config.json").read_text())
-            assert echo["require_alpha"] == expected
-
-    def test_boolean_flag_other_value_is_one_line_error(self, tmp_path, capsys):
+    def test_line_for_a_removed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # every line becomes --key value, so a key no command takes fails in
+        # argparse like the same flag typed on the command line
         cfg = tmp_path / "vocab.cfg"
-        cfg.write_text("require-alpha=maybe\n")
-        code = run("build-vocab", "--config", str(cfg), "--mode", "base",
-                   "--out", str(tmp_path / "v.txt"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "require-alpha" in err
-        assert err.count("\n") == 1
+        cfg.write_text("require-alpha=false\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run("build-vocab", "--config", str(cfg), "--mode", "base",
+                "--out", str(tmp_path / "v.txt"))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --require-alpha false" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestTokenizeCommand:

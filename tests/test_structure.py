@@ -141,3 +141,16 @@ def test_every_traced_function_resolves(monkeypatch):
         if not callable(owner.__dict__.get(key)):
             missing.append(name)
     assert not missing, missing
+
+
+def test_cli_defines_no_on_off_flag():
+    # --config turns every line into --key value; an on/off flag would need
+    # a true/false mapping there again, and has to be argued for.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "BooleanOptionalAction")
+        or (isinstance(node, ast.Constant) and node.value in ("store_true", "store_false"))
+    )
+    assert not found, found

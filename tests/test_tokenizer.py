@@ -241,7 +241,6 @@ class TestVocabGrowthMonotonicity:
         # quantified over the artifact's actual growth route: frequency and
         # curated expansions of the shipped base vocabulary
         from phenotag.vocab_expand import (
-            CandidateFilters,
             default_curated_words,
             expand_curated,
             expand_frequency,
@@ -251,7 +250,7 @@ class TestVocabGrowthMonotonicity:
         words = set()
         for doc in corpus200[:80]:
             words.update(w for w, _, _ in basic_tokenize(doc.text))
-        candidates = extract_candidates(corpus200, base_vocab, CandidateFilters(min_count=2))
+        candidates = extract_candidates(corpus200, base_vocab, min_count=2)
         grown = [
             expand_frequency(base_vocab, candidates, k=min(200, len(candidates))),
             expand_curated(base_vocab, default_curated_words()),

@@ -4,8 +4,6 @@ from conftest import make_vocab
 from phenotag.corpus import Document, EntityLabel, EntitySpan
 from phenotag.errors import CapacityError, ConfigurationError, ValidationError
 from phenotag.vocab_expand import (
-    CandidateFilters,
-    CandidateList,
     coverage,
     default_curated_words,
     expand_curated,
@@ -26,40 +24,36 @@ class TestExtractCandidates:
     def test_hand_count(self):
         vocab = make_vocab("and")
         docs = [doc("her2 and her2 and dcis")]
-        got = extract_candidates(docs, vocab, CandidateFilters(min_count=1))
-        assert got.entries == (("her2", 2), ("dcis", 1))
+        got = extract_candidates(docs, vocab, min_count=1)
+        assert got == ["her2", "dcis"]
 
     def test_everything_in_vocab_gives_empty(self):
         vocab = make_vocab("left", "breast")
-        got = extract_candidates([doc("left breast left")], vocab, CandidateFilters(min_count=1))
-        assert len(got) == 0
+        got = extract_candidates([doc("left breast left")], vocab, min_count=1)
+        assert got == []
 
     def test_require_alpha_drops_numeral_keeps_pt4(self):
         vocab = make_vocab()
         docs = [doc("1.0 pt4 1.0 pt4")]
-        got = extract_candidates(docs, vocab, CandidateFilters(min_count=1))
-        assert got.words() == ["pt4"]
-        relaxed = extract_candidates(
-            docs, vocab, CandidateFilters(min_count=1, require_alpha=False)
-        )
-        assert set(relaxed.words()) == {"1.0", "pt4"}
+        got = extract_candidates(docs, vocab, min_count=1)
+        assert got == ["pt4"]
 
     def test_min_count_filter(self):
         vocab = make_vocab()
         docs = [doc("rare common common common")]
-        got = extract_candidates(docs, vocab, CandidateFilters(min_count=3))
-        assert got.words() == ["common"]
+        got = extract_candidates(docs, vocab, min_count=3)
+        assert got == ["common"]
 
     def test_min_len_filter(self):
         vocab = make_vocab()
-        got = extract_candidates([doc("q named named")], vocab, CandidateFilters(min_count=1))
-        assert "q" not in got.words()
+        got = extract_candidates([doc("q named named")], vocab, min_count=1)
+        assert "q" not in got
 
     def test_ranking_frequency_then_lexicographic(self):
         vocab = make_vocab()
         docs = [doc("zz aa zz aa bb")]
-        got = extract_candidates(docs, vocab, CandidateFilters(min_count=1))
-        assert got.words() == ["aa", "zz", "bb"]
+        got = extract_candidates(docs, vocab, min_count=1)
+        assert got == ["aa", "zz", "bb"]
 
     def test_rerun_identical(self, base_vocab, corpus200):
         a = extract_candidates(corpus200, base_vocab)
@@ -70,37 +64,37 @@ class TestExtractCandidates:
 class TestExpandFrequency:
     def test_fill_all_997(self):
         vocab = make_vocab(placeholders=997)
-        candidates = CandidateList(tuple((f"word{i:04d}", 1000 - i) for i in range(1000)))
+        candidates = [f"word{i:04d}" for i in range(1000)]
         expanded = expand_frequency(vocab, candidates, k=997)
         assert len(expanded) == len(vocab)
         assert len(expanded.placeholder_ids) == 0
         assert len(expanded.rewritten_ids) == 997
 
     def test_zero_is_identity(self, base_vocab):
-        expanded = expand_frequency(base_vocab, CandidateList(()), k=0)
+        expanded = expand_frequency(base_vocab, [], k=0)
         assert expanded.tokens == base_vocab.tokens
 
     def test_negative_k_rejected(self, base_vocab, corpus200):
-        candidates = extract_candidates(corpus200[:30], base_vocab, CandidateFilters())
-        assert len(candidates.words()) > 1
+        candidates = extract_candidates(corpus200[:30], base_vocab)
+        assert len(candidates) > 1
         with pytest.raises(ConfigurationError, match="k must be >= 0"):
             expand_frequency(base_vocab, candidates, k=-1)
 
     def test_over_budget_rejected(self):
         vocab = make_vocab(placeholders=997)
-        candidates = CandidateList(tuple((f"w{i}", 1) for i in range(1300)))
+        candidates = [f"w{i}" for i in range(1300)]
         with pytest.raises(CapacityError, match="997"):
             expand_frequency(vocab, candidates, k=1200)
 
     def test_998_on_full_budget_fails(self):
         vocab = make_vocab(placeholders=997)
-        candidates = CandidateList(tuple((f"w{i}", 1) for i in range(1000)))
+        candidates = [f"w{i}" for i in range(1000)]
         with pytest.raises(CapacityError):
             expand_frequency(vocab, candidates, k=998)
 
     def test_slots_filled_in_id_order_by_rank(self):
         vocab = make_vocab(placeholders=3)
-        candidates = CandidateList((("top", 9), ("mid", 5), ("low", 2)))
+        candidates = ["top", "mid", "low"]
         expanded = expand_frequency(vocab, candidates, k=2)
         slot0, slot1, slot2 = vocab.placeholder_ids
         assert expanded.tokens[slot0] == "top"
