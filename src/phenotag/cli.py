@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +32,7 @@ from .corpus import (
     corpus_stats,
     format_stats,
     load_corpus,
+    pair_documents,
     save_corpus,
     split_corpus,
     token_labels,
@@ -85,12 +85,8 @@ def _print_table(args: argparse.Namespace, table: str) -> None:
 def _echo_config(args: argparse.Namespace, out: Path) -> None:
     skip = {"func", "config", "command"}
     resolved = {k: str(v) for k, v in vars(args).items() if k not in skip}
-    if out.is_dir():
-        target = out / f"{args.command}.config.json"
-    else:
-        target = out.parent / (out.name + ".config.json")
     _write_text(
-        target,
+        out.parent / (out.name + ".config.json"),
         json.dumps({"command": args.command, **resolved}, indent=2, sort_keys=True)
         + "\n",
     )
@@ -328,7 +324,7 @@ def cmd_aggregate(args) -> int:
                 reports.append(MatchReport.from_dict(data))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{p}: not a match report: {exc!r}") from None
-        groups[name] = aggregate_runs(reports, confidence=args.confidence)
+        groups[name] = aggregate_runs(reports)
     _print_table(args, format_aggregate_table(groups))
     return 0
 
@@ -380,8 +376,12 @@ def _labels_from_file(path: str) -> list[str]:
 
 
 def cmd_kappa(args) -> int:
-    labels_a = _labels_from_file(args.a)
-    labels_b = _labels_from_file(args.b)
+    if args.a.endswith(".jsonl") and args.b.endswith(".jsonl"):
+        pairs = pair_documents(load_corpus(args.a), load_corpus(args.b))
+        labels_a = [label for doc, _ in pairs for label in token_labels(doc)]
+        labels_b = [label for _, doc in pairs for label in token_labels(doc)]
+    else:
+        labels_a, labels_b = _labels_from_file(args.a), _labels_from_file(args.b)
     kappa = cohen_kappa(labels_a, labels_b)
     print(f"kappa\t{kappa:.4f}")
     if args.out:
@@ -391,12 +391,10 @@ def cmd_kappa(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from .encoder import grad_check
+    from .encoder.gradcheck import TOLERANCE
 
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise PhenotagError(f"tolerance must be a positive finite number, got {args.tolerance}")
     result = grad_check(
         _model_config(args, args.vocab_size),
-        epsilon=args.epsilon,
         coords_per_tensor=args.coords,
         seed=args.seed,
     )
@@ -404,10 +402,10 @@ def cmd_gradcheck(args) -> int:
     worst = sorted(result.per_tensor.items(), key=lambda kv: -kv[1])[:5]
     lines.extend(f"{name}\t{err:.3e}" for name, err in worst)
     _print_table(args, "\n".join(lines) + "\n")
-    if result.max_rel_error > args.tolerance:
+    if result.max_rel_error > TOLERANCE:
         print(
             f"error: gradient check failed ({result.max_rel_error:.3e} > "
-            f"{args.tolerance:.1e})",
+            f"{TOLERANCE:.1e})",
             file=sys.stderr,
         )
         return 1
@@ -524,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--group", action="append", required=True, metavar="NAME=r1.json,r2.json",
     )
-    p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_aggregate)
 
@@ -551,9 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-heads", type=int, default=2)
     p.add_argument("--d-ff", type=int, default=32)
     p.add_argument("--max-positions", type=int, default=12)
-    p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--coords", type=int, default=64)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gradcheck)
@@ -596,10 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             _echo_config(args, _out_path(args.out))
         return code
-    except PhenotagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PhenotagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

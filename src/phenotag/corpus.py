@@ -7,7 +7,8 @@ label lives on a word's first piece; continuations get ``IGNORE_ID``) and
 ``decode_bio`` turns ids back into character spans. One word alignment,
 ``_align``, serves both the codec and the word-level labels that ``kappa``
 compares, with the same repairs and warnings. ``encode_corpus`` is the one
-place where text becomes model ids.
+place where text becomes model ids, ``pair_documents`` the one that pairs two
+annotations of a corpus.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ N_TAGS = len(TAGS)
 
 @dataclass(frozen=True, order=True)
 class EntitySpan:
-    """A character-offset annotation: [start_char, end_char) with a label."""
+    """A character-offset annotation: [start_char, end_char) with a label.
+    Spans order by (start_char, end_char, label), a label by its value."""
 
     start_char: int
     end_char: int
@@ -73,7 +75,7 @@ class EntitySpan:
 
 @dataclass
 class Document:
-    """Raw text plus its entity annotations, sorted by start offset."""
+    """Raw text plus its entity annotations, in span order."""
 
     doc_id: str
     text: str
@@ -94,10 +96,35 @@ class Document:
                     f"doc {self.doc_id!r}: duplicate span {key}"
                 )
             seen.add(key)
-        self.entities.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
+        self.entities.sort()
 
     def span_text(self, span: EntitySpan) -> str:
         return self.text[span.start_char : span.end_char]
+
+
+def pair_documents(
+    a: Sequence[Document], b: Sequence[Document]
+) -> list[tuple[Document, Document]]:
+    """Two annotations of one corpus, their documents paired in doc_id order.
+
+    Raises:
+        ValidationError: a doc_id repeated within either list, doc_id sets
+            that differ, or a pair whose texts differ.
+    """
+    by_id: list[dict[str, Document]] = [{}, {}]
+    for docs, ids in zip((a, b), by_id):
+        for doc in docs:
+            if doc.doc_id in ids:
+                raise ValidationError(f"doc_id {doc.doc_id!r} occurs more than once")
+            ids[doc.doc_id] = doc
+    ids_a, ids_b = by_id
+    if ids_a.keys() != ids_b.keys():
+        raise ValidationError(f"doc_id mismatch: {sorted(ids_a.keys() ^ ids_b.keys())}")
+    pairs = [(ids_a[i], ids_b[i]) for i in sorted(ids_a)]
+    for doc_a, doc_b in pairs:
+        if doc_a.text != doc_b.text:
+            raise ValidationError(f"doc {doc_a.doc_id!r}: the two texts differ")
+    return pairs
 
 
 def _offset(value: object) -> int:
@@ -352,7 +379,7 @@ def decode_bio(tag_ids: Sequence[int], tokenized: TokenizedText) -> list[EntityS
             close()
             open_label, open_start, open_end = label, ws, we
     close()
-    spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
+    spans.sort()
     return spans
 
 

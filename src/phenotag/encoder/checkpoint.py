@@ -31,7 +31,7 @@ class Checkpoint:
 
     params: dict[str, np.ndarray]
     config: ModelConfig
-    vocab_digest: str = ""
+    vocab_digest: str
     step: int = 0
 
     def copy(self) -> "Checkpoint":
@@ -43,31 +43,27 @@ class Checkpoint:
         )
 
     def check_vocab(self, vocab: Vocabulary) -> None:
-        """Reject a vocabulary other than the one this model was trained with."""
+        """Reject a vocabulary other than the one this model was trained with;
+        the one place that compares vocabulary digests."""
         if len(vocab) != self.config.vocab_size:
             raise ValidationError(
                 f"vocabulary size {len(vocab)} != model vocab_size "
                 f"{self.config.vocab_size}"
             )
-        if self.vocab_digest and self.vocab_digest != vocab.digest():
+        if self.vocab_digest != vocab.digest():
             raise ValidationError(
                 "vocabulary digest mismatch: checkpoint was trained with a "
                 "different vocabulary"
             )
 
 
-def init_model(config: ModelConfig, vocab: Vocabulary | None = None) -> Checkpoint:
-    """Deterministically initialize a fresh model for the given config."""
-    if vocab is not None and len(vocab) != config.vocab_size:
+def init_model(config: ModelConfig, vocab: Vocabulary) -> Checkpoint:
+    """A fresh model for ``config``, seeded, bound to ``vocab`` by its digest."""
+    if len(vocab) != config.vocab_size:
         raise ValidationError(
             f"config.vocab_size {config.vocab_size} != vocabulary size {len(vocab)}"
         )
-    params = init_params(config)
-    return Checkpoint(
-        params=params,
-        config=config,
-        vocab_digest=vocab.digest() if vocab is not None else "",
-    )
+    return Checkpoint(params=init_params(config), config=config, vocab_digest=vocab.digest())
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -174,8 +170,7 @@ def resize_for_vocab(
             f"vocabulary sizes differ ({len(old_vocab)} vs {len(new_vocab)}); "
             "only slot replacement is supported"
         )
-    if ckpt.vocab_digest and ckpt.vocab_digest != old_vocab.digest():
-        raise ValidationError("checkpoint was not trained with old_vocab")
+    ckpt.check_vocab(old_vocab)
     old_placeholders = set(old_vocab.placeholder_ids)
     changed = [
         i for i, (a, b) in enumerate(zip(old_vocab.tokens, new_vocab.tokens)) if a != b

@@ -39,8 +39,8 @@ class ModelConfig:
                 f"d_model ({self.d_model}) must be divisible by n_heads "
                 f"({self.n_heads})"
             )
-        if self.n_tags < 1:
-            raise ConfigurationError(f"n_tags must be positive: {self.n_tags}")
+        if self.n_tags != N_TAGS:  # the tag head speaks the codec's tag ids
+            raise ConfigurationError(f"n_tags must be {N_TAGS}: {self.n_tags}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -103,7 +103,7 @@ def _tag(
 def predict(
     ckpt: Checkpoint, docs: Sequence[Document], vocab: Vocabulary
 ) -> list[list[EntitySpan]]:
-    """Predict entity spans for each document, sorted by (start, end, label).
+    """Predict entity spans for each document, in span order.
 
     The vocabulary must be the one the checkpoint was trained with.
     """
@@ -118,7 +118,7 @@ def predict(
                 span.start_char + sent.offset, span.end_char + sent.offset, span.label,
             ))
     for doc_spans in spans:
-        doc_spans.sort(key=lambda s: (s.start_char, s.end_char, s.label.value))
+        doc_spans.sort()
     return spans
 
 

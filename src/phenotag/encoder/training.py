@@ -167,7 +167,6 @@ def _masked_batches(
 
 def _train(
     ckpt: Checkpoint,
-    vocab: Vocabulary,
     lr: float,
     batches: Iterable[tuple[np.ndarray, ...]],
     loss_fn: Callable,
@@ -178,7 +177,6 @@ def _train(
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigurationError(f"lr must be a positive finite number, got {lr}")
     out = ckpt.copy()
-    out.vocab_digest = vocab.digest()
     adam = Adam(out.params, lr)
     records: list[TrainRecord] = []
     for step, batch in enumerate(batches, first_step):
@@ -198,7 +196,7 @@ def pretrain_mlm(
     mask_frac: float = 0.15,
     lr: float = 1e-3,
     batch_size: int = 16,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> tuple[Checkpoint, list[TrainRecord]]:
     """Continue masked-LM training on a corpus; returns (checkpoint, trace).
 
@@ -208,7 +206,7 @@ def pretrain_mlm(
     _check_mask_frac(mask_frac)
     _check_counts(batch_size, "steps", steps)
     ckpt.check_vocab(vocab)
-    rng = np.random.default_rng(seed if seed is not None else ckpt.config.seed)
+    rng = np.random.default_rng(seed)
 
     def draw(n: int) -> Iterator[np.ndarray]:
         for _ in range(steps):
@@ -219,7 +217,7 @@ def pretrain_mlm(
     )
     # with no steps to run the corpus is never encoded, so it may be empty
     out, records = _train(
-        ckpt, vocab, lr, batches if steps else (), mlm_loss_and_grads, "masked-LM",
+        ckpt, lr, batches if steps else (), mlm_loss_and_grads, "masked-LM",
         ckpt.step + 1,
     )
     out.step += len(records)
@@ -313,7 +311,7 @@ def finetune_ner(
     if not examples:
         raise ValidationError("no training sentences after encoding")
     batches = _tagged_batches(examples, vocab.pad_id, hyper)
-    return _train(ckpt, vocab, hyper.lr, batches, ner_loss_and_grads, "tag", 1)
+    return _train(ckpt, hyper.lr, batches, ner_loss_and_grads, "tag", 1)
 
 
 def format_trace(records: Sequence[TrainRecord]) -> str:

@@ -14,10 +14,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .corpus import Document, EntityLabel, EntitySpan, LABELS
-from .errors import ConfigurationError, ValidationError
+from .corpus import Document, EntityLabel, EntitySpan, LABELS, pair_documents
+from .errors import ValidationError
 
 MODES = ("exact", "lenient")
+#: Level of the Student-t intervals that ``aggregate_runs`` reports.
+CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ def match_spans(
     """Greedy one-to-one matching of predictions against gold spans."""
     if mode not in MODES:
         raise ValidationError(f"unknown match mode {mode!r}")
-    gold_sorted = sorted(gold, key=lambda s: (s.start_char, s.end_char, s.label.value))
-    pred_sorted = sorted(pred, key=lambda s: (s.start_char, s.end_char, s.label.value))
+    gold_sorted = sorted(gold)
+    pred_sorted = sorted(pred)
     taken = [False] * len(gold_sorted)
     pairs: list[tuple[EntitySpan, EntitySpan]] = []
     matched_pred = [False] * len(pred_sorted)
@@ -154,18 +156,6 @@ class MatchReport:
         return cls(exact=reports["exact"], lenient=reports["lenient"])
 
 
-def _by_id(
-    gold_docs: Sequence[Document], pred_docs: Sequence[Document]
-) -> tuple[dict[str, Document], dict[str, Document]]:
-    """Gold and predicted documents by doc_id; both must hold the same ids."""
-    gold_by_id = {d.doc_id: d for d in gold_docs}
-    pred_by_id = {d.doc_id: d for d in pred_docs}
-    if set(gold_by_id) != set(pred_by_id):
-        diff = sorted(set(gold_by_id) ^ set(pred_by_id))
-        raise ValidationError(f"gold/predicted doc_id mismatch: {diff}")
-    return gold_by_id, pred_by_id
-
-
 def score(
     gold_docs: Sequence[Document],
     pred_docs: Sequence[Document],
@@ -175,14 +165,15 @@ def score(
 
     Macro F1 averages over the configured label set (a label absent from the
     data contributes an F1 of 0); micro F1 comes from globally summed counts.
+    Documents are paired by ``corpus.pair_documents``.
     """
-    gold_by_id, pred_by_id = _by_id(gold_docs, pred_docs)
+    pairs = pair_documents(gold_docs, pred_docs)
     label_tuple = tuple(labels)
     reports: dict[str, ModeReport] = {}
     for mode in MODES:
         totals = {l: [0, 0, 0] for l in label_tuple}
-        for doc_id, gold_doc in gold_by_id.items():
-            result = match_spans(gold_doc.entities, pred_by_id[doc_id].entities, mode)
+        for gold_doc, pred_doc in pairs:
+            result = match_spans(gold_doc.entities, pred_doc.entities, mode)
             for l in label_tuple:
                 c = result.counts[l]
                 totals[l][0] += c.tp
@@ -226,20 +217,17 @@ class MetricStats:
 @dataclass(frozen=True)
 class RunAggregate:
     n_runs: int
-    confidence: float
     metrics: dict[str, MetricStats]
 
 
-def aggregate_values(values: Sequence[float], confidence: float = 0.95) -> MetricStats:
-    """Mean, sample stdev, and a Student-t confidence interval.
+def aggregate_values(values: Sequence[float]) -> MetricStats:
+    """Mean, sample stdev, and a Student-t interval at level ``CONFIDENCE``.
 
     ``stdtrit`` is the inverse Student-t CDF behind ``scipy.stats.t.ppf``,
     without the second of import that ``scipy.stats`` costs.
     """
     from scipy.special import stdtrit
 
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
     n = len(values)
     if n == 0:
         raise ValidationError("cannot aggregate an empty list")
@@ -248,14 +236,12 @@ def aggregate_values(values: Sequence[float], confidence: float = 0.95) -> Metri
         return MetricStats(mean=mean)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     s = math.sqrt(var)
-    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
+    t_crit = float(stdtrit(n - 1, 0.5 + CONFIDENCE / 2.0))
     half = t_crit * s / math.sqrt(n)
     return MetricStats(mean=mean, stdev=s, ci_low=mean - half, ci_high=mean + half)
 
 
-def aggregate_runs(
-    reports: Sequence[MatchReport], confidence: float = 0.95
-) -> RunAggregate:
+def aggregate_runs(reports: Sequence[MatchReport]) -> RunAggregate:
     """Aggregate per-metric statistics over repeated runs.
 
     Covers macro/micro F1 and per-label F1 for both modes; with a single run
@@ -268,17 +254,13 @@ def aggregate_runs(
         raise ValidationError("cannot aggregate reports over different label sets")
     metrics: dict[str, MetricStats] = {}
     for mode in MODES:
-        metrics[f"{mode}.macro_f1"] = aggregate_values(
-            [r.mode(mode).macro_f1 for r in reports], confidence
-        )
-        metrics[f"{mode}.micro_f1"] = aggregate_values(
-            [r.mode(mode).micro_f1 for r in reports], confidence
-        )
+        metrics[f"{mode}.macro_f1"] = aggregate_values([r.mode(mode).macro_f1 for r in reports])
+        metrics[f"{mode}.micro_f1"] = aggregate_values([r.mode(mode).micro_f1 for r in reports])
         for label in labels:
             metrics[f"{mode}.f1.{label.value}"] = aggregate_values(
-                [r.mode(mode).per_label[label].f1 for r in reports], confidence
+                [r.mode(mode).per_label[label].f1 for r in reports]
             )
-    return RunAggregate(len(reports), confidence, metrics)
+    return RunAggregate(len(reports), metrics)
 
 
 def _agg_cell(agg: RunAggregate, key: str) -> str:
@@ -319,7 +301,7 @@ def format_aggregate_table(groups: Mapping[str, RunAggregate]) -> str:
         lines.append(title + "\t" + "\t".join(cells))
     lines.append(
         f"# n_runs={', '.join(str(groups[n].n_runs) for n in names)}; "
-        f"confidence={next(iter(groups.values())).confidence}"
+        f"confidence={CONFIDENCE}"
     )
     return "\n".join(lines) + "\n"
 
@@ -359,12 +341,13 @@ class ErrorBreakdown:
 def categorize_errors(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> ErrorBreakdown:
-    """Assign every false negative and false positive to one error category."""
-    gold_by_id, pred_by_id = _by_id(gold_docs, pred_docs)
+    """Assign every false negative and false positive to one error category.
+
+    Documents are paired by ``corpus.pair_documents``.
+    """
     out = ErrorBreakdown()
-    for doc_id in sorted(gold_by_id):
-        gold = gold_by_id[doc_id].entities
-        pred = pred_by_id[doc_id].entities
+    for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
+        doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
         result = match_spans(gold, pred, "lenient")
         matched_gold = {id(g) for g, _ in result.pairs}
         matched_pred = {id(p) for _, p in result.pairs}

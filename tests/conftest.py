@@ -47,6 +47,11 @@ def make_vocab(*tokens: str, placeholders: int = 0) -> Vocabulary:
     return Vocabulary(SPECIAL_TOKENS + extra + tuple(tokens))
 
 
+def sized_vocab(size: int) -> Vocabulary:
+    """A vocabulary of exactly ``size`` tokens: specials, then w0, w1, ..."""
+    return make_vocab(*(f"w{i}" for i in range(size - len(SPECIAL_TOKENS))))
+
+
 def explode_sentences(docs, limit=None):
     """One document per sentence, entities shifted to sentence coordinates."""
     out = []

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 import phenotag.cli
-from conftest import make_vocab
+from conftest import make_vocab, sized_vocab
 from phenotag.cli import main
 from phenotag.corpus import Document, save_corpus
 from phenotag.encoder import ModelConfig, init_model, save_checkpoint
@@ -29,7 +29,7 @@ def vocab_writer(ok: bool):
 
 def checkpoint_writer(ok: bool):
     ckpt = init_model(ModelConfig(vocab_size=12, n_layers=1, d_model=8, n_heads=2,
-                                  d_ff=16, max_positions=8))
+                                  d_ff=16, max_positions=8), sized_vocab(12))
     if not ok:  # sorts after every real tensor, so those are written first
         ckpt = dataclasses.replace(ckpt, params={**ckpt.params, "zz": "not numbers"})
     return lambda path: save_checkpoint(ckpt, path)

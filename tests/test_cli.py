@@ -134,6 +134,47 @@ class TestKappa:
         assert "kappa\t0.5000" in capsys.readouterr().out
 
 
+ER = EntityLabel.HORMONE_RECEPTOR_TYPE
+
+
+class TestDocumentPairing:
+    """evaluate, errors and kappa score two annotations of one set of
+    documents; anything else is a one-line error, not a silent score."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_repeated_doc_id_is_one_line_error(self, tmp_path, capsys, command):
+        # the second gold d1 and its her2 span were never scored
+        gold, pred, out = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl", tmp_path / "r.tsv"
+        save_corpus([Document("d1", "er positive", [EntitySpan(0, 2, ER)]),
+                     Document("d1", "her2 negative", [EntitySpan(0, 4, ER)])], gold)
+        save_corpus([Document("d1", "er positive", [EntitySpan(0, 2, ER)])], pred)
+        assert run(command, "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 1
+        assert "doc_id 'd1' occurs more than once" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_other_text_under_one_doc_id_is_one_line_error(self, tmp_path, capsys,
+                                                           command):
+        gold, pred, out = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl", tmp_path / "r.tsv"
+        save_corpus([Document("d1", "er positive", [EntitySpan(0, 2, ER)])], gold)
+        save_corpus([Document("d1", "pr negative", [EntitySpan(0, 2, ER)])], pred)
+        assert run(command, "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 1
+        assert "doc 'd1': the two texts differ" in one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("docs_b, message", [
+        ([Document("d2", "left breast", [])], r"doc_id mismatch: ['d1', 'd2']"),
+        ([Document("d1", "left breast", [])], "doc 'd1': the two texts differ"),
+    ], ids=["other-ids", "other-text"])
+    def test_kappa_on_other_documents_is_one_line_error(self, tmp_path, capsys, docs_b,
+                                                        message):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_corpus([Document("d1", "er positive", [EntitySpan(0, 2, ER)])], a)
+        save_corpus(docs_b, b)
+        assert run("kappa", "--a", str(a), "--b", str(b)) == 1
+        assert message in one_line_error(capsys)
+
+
 class TestExitCodes:
     def test_unknown_command_exits_2(self):
         proc = subprocess.run(
@@ -260,19 +301,6 @@ class TestExitCodes:
                    "--steps", steps, "--max-positions", "2", "--out", str(out))
         assert code == 1
         assert "max_positions must be >= 3" in one_line_error(capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value, name", [
-        ("--epsilon", "0", "epsilon"),
-        ("--epsilon", "nan", "epsilon"),
-        ("--tolerance", "nan", "tolerance"),  # would pass whatever the error
-        ("--tolerance", "-1", "tolerance"),
-    ])
-    def test_bad_gradcheck_setting_is_one_line_error(self, tmp_path, capsys, flag, value,
-                                                     name):
-        out = tmp_path / "g.tsv"
-        assert run("gradcheck", "--coords", "1", flag, value, "--out", str(out)) == 1
-        assert f"{name} must be a positive finite number" in one_line_error(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "nan"])
@@ -500,6 +528,29 @@ class TestModelCommandFailures:
                    "--corpus", tiny_model["corpus"], "--out", str(tmp_path / "p.jsonl"))
         assert code == 1
         assert "cut.ckpt" in one_line_error(capsys)
+
+    def test_checkpoint_with_another_tag_count_is_one_line_error(self, tiny_model,
+                                                                 tmp_path, capsys):
+        # a consistent 40-tag head used to reach decode_bio and end in an
+        # IndexError traceback
+        import dataclasses
+
+        import numpy as np
+
+        from phenotag.encoder import load_checkpoint, save_checkpoint
+
+        ckpt = load_checkpoint(tiny_model["ckpt"])
+        d = ckpt.config.d_model
+        ckpt.config = dataclasses.replace(ckpt.config, n_tags=40)
+        ckpt.params.update(ner_w=np.zeros((d, 40)), ner_b=np.linspace(0.0, 1.0, 40))
+        save_checkpoint(ckpt, tmp_path / "tags40.ckpt")
+        out = tmp_path / "p.jsonl"
+        code = run("predict", "--ckpt", str(tmp_path / "tags40.ckpt"),
+                   "--vocab", tiny_model["base"], "--corpus", tiny_model["corpus"],
+                   "--out", str(out))
+        assert code == 1
+        assert "bad checkpoint metadata: n_tags must be 17: 40" in one_line_error(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("tensor", ["pos_emb", "ner_b"])
     def test_checkpoint_tensor_that_does_not_match_its_config_is_one_line_error(

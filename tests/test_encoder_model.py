@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from conftest import edit_metadata, make_vocab, with_removed_settings
+from conftest import edit_metadata, make_vocab, sized_vocab, with_removed_settings
 from phenotag.encoder import (
     Adam,
     Checkpoint,
@@ -31,38 +31,49 @@ from phenotag.tokenizer import UNK, wordpiece
 from phenotag.vocab_expand import expand_frequency
 
 TINY = ModelConfig(vocab_size=30, n_layers=2, d_model=16, n_heads=2, d_ff=32, max_positions=16)
+TINY_VOCAB = sized_vocab(30)
 
 
 class TestInit:
     def test_deterministic_bit_identical(self):
-        a = init_model(TINY)
-        b = init_model(TINY)
+        a = init_model(TINY, TINY_VOCAB)
+        b = init_model(TINY, TINY_VOCAB)
         assert set(a.params) == set(b.params)
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k]), k
 
     def test_non_divisible_heads_rejected(self):
         with pytest.raises(ConfigurationError, match="divisible"):
-            init_model(ModelConfig(vocab_size=10, d_model=64, n_heads=5))
+            init_model(ModelConfig(vocab_size=10, d_model=64, n_heads=5), sized_vocab(10))
 
     def test_embedding_shape(self):
-        ck = init_model(ModelConfig(vocab_size=100, d_model=8, n_heads=2, d_ff=16))
+        ck = init_model(ModelConfig(vocab_size=100, d_model=8, n_heads=2, d_ff=16),
+                        sized_vocab(100))
         assert ck.params["tok_emb"].shape == (100, 8)
 
     def test_layernorm_at_identity(self):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         assert np.array_equal(ck.params["emb_ln_g"], np.ones(16))
         assert np.array_equal(ck.params["emb_ln_b"], np.zeros(16))
 
+    def test_other_tag_count_rejected(self):
+        # the tag head speaks the BIO codec's 17 tag ids, no other count
+        with pytest.raises(ConfigurationError, match="n_tags must be 17: 40"):
+            init_model(ModelConfig(**{**TINY.to_dict(), "n_tags": 40}), TINY_VOCAB)
+
+    def test_vocabulary_of_another_size_rejected(self):
+        with pytest.raises(ValidationError, match="vocab_size 30 != vocabulary size 31"):
+            init_model(TINY, sized_vocab(31))
+
     def test_seed_changes_weights(self):
-        a = init_model(TINY)
-        b = init_model(ModelConfig(**{**TINY.to_dict(), "seed": 1}))
+        a = init_model(TINY, TINY_VOCAB)
+        b = init_model(ModelConfig(**{**TINY.to_dict(), "seed": 1}), TINY_VOCAB)
         assert not np.array_equal(a.params["tok_emb"], b.params["tok_emb"])
 
 
 class TestForward:
     def test_pad_id_does_not_leak_into_masked_outputs(self):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         rng = np.random.default_rng(0)
         ids = rng.integers(0, TINY.vocab_size, size=(1, 10))
         mask = np.ones((1, 10))
@@ -75,7 +86,7 @@ class TestForward:
 
     def test_zero_layer_is_layernormed_embedding_sum(self):
         cfg = ModelConfig(vocab_size=12, n_layers=0, d_model=8, n_heads=1, d_ff=8, max_positions=8)
-        ck = init_model(cfg)
+        ck = init_model(cfg, sized_vocab(12))
         ids = np.array([[1, 2, 3]])
         mask = np.ones((1, 3))
         h = forward_hidden(ck.params, cfg, ids, mask)[0]
@@ -86,20 +97,20 @@ class TestForward:
         np.testing.assert_allclose(h[0], expected, atol=1e-12)
 
     def test_identical_rows_in_batch(self):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         ids = np.array([[3, 4, 5], [3, 4, 5]])
         mask = np.ones((2, 3))
         h = forward_hidden(ck.params, TINY, ids, mask)[0]
         np.testing.assert_array_equal(h[0], h[1])
 
     def test_overlong_sequence_rejected(self):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         ids = np.zeros((1, TINY.max_positions + 1), dtype=np.int64)
         with pytest.raises(ConfigurationError, match="max_positions"):
             forward_hidden(ck.params, TINY, ids, np.ones_like(ids, dtype=float))
 
     def test_inference_deterministic(self):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         ids = np.array([[1, 2, 3, 4]])
         mask = np.ones((1, 4))
         a = forward_hidden(ck.params, ck.config, ids, mask)[0]
@@ -208,7 +219,7 @@ class TestKernelsMatchPlainExpressions:
 
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
-        ck = init_model(TINY)
+        ck = init_model(TINY, TINY_VOCAB)
         ck.step = 17
         ck.vocab_digest = "abc123"
         path = tmp_path / "model.ckpt"
@@ -228,7 +239,7 @@ class TestCheckpointIO:
 
     def test_truncated_or_padded_file_names_itself(self, tmp_path):
         src = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(TINY), src)
+        save_checkpoint(init_model(TINY, TINY_VOCAB), src)
         data = src.read_bytes()
         meta_end = 12 + int.from_bytes(data[8:12], "little")
         cuts = [0, 5, 8, 10, 12, 40, meta_end, meta_end + 3, meta_end + 7,
@@ -242,7 +253,7 @@ class TestCheckpointIO:
 
     def test_bad_metadata_and_oversized_shape(self, tmp_path):
         src = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(TINY), src)
+        save_checkpoint(init_model(TINY, TINY_VOCAB), src)
         data = src.read_bytes()
         meta_len = int.from_bytes(data[8:12], "little")
         bad_json = data[:12] + b"{" * meta_len + data[12 + meta_len:]
@@ -259,10 +270,11 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("key, value, message", [
         ("max_positions", 2, "max_positions must be >= 3: 2"),
         ("n_heads", 0, r"d_model \(16\) must be divisible by n_heads \(0\)"),
-    ], ids=["max_positions-2", "n_heads-0"])
+        ("n_tags", 40, "n_tags must be 17: 40"),
+    ], ids=["max_positions-2", "n_heads-0", "n_tags-40"])
     def test_metadata_with_invalid_config_rejected(self, tmp_path, key, value, message):
         src, bad = tmp_path / "model.ckpt", tmp_path / "bad.ckpt"
-        save_checkpoint(init_model(TINY), src)
+        save_checkpoint(init_model(TINY, TINY_VOCAB), src)
         edit_metadata(src, bad, lambda meta: meta["config"].update({key: value}))
         with pytest.raises(ParseError, match=f"bad.ckpt: bad checkpoint metadata: {message}"):
             load_checkpoint(bad)
@@ -277,14 +289,23 @@ class TestCheckpointIO:
     def test_tensors_that_do_not_match_the_config_rejected(self, tmp_path, edit, message):
         # before the check, predict on the first two ended in a broadcast
         # ValueError and a KeyError traceback
-        ck = init_model(ModelConfig(**{**TINY.to_dict(), "max_positions": 128}))
+        ck = init_model(ModelConfig(**{**TINY.to_dict(), "max_positions": 128}), TINY_VOCAB)
         edit(ck.params)
         save_checkpoint(ck, tmp_path / "bad.ckpt")
         with pytest.raises(ParseError, match=f"bad.ckpt: {message}"):
             load_checkpoint(tmp_path / "bad.ckpt")
 
+    def test_empty_vocabulary_digest_matches_no_vocabulary(self, tmp_path):
+        # an empty digest used to let any vocabulary of the model's size through
+        save_checkpoint(init_model(TINY, TINY_VOCAB), tmp_path / "m.ckpt")
+        edit_metadata(tmp_path / "m.ckpt", tmp_path / "blank.ckpt",
+                      lambda meta: meta.update(vocab_digest=""))
+        ck = load_checkpoint(tmp_path / "blank.ckpt")
+        with pytest.raises(ValidationError, match="vocabulary digest mismatch"):
+            ck.check_vocab(TINY_VOCAB)
+
     def test_metadata_with_removed_settings_rejected(self, tmp_path):
-        save_checkpoint(init_model(TINY), tmp_path / "new.ckpt")
+        save_checkpoint(init_model(TINY, TINY_VOCAB), tmp_path / "new.ckpt")
         with_removed_settings(tmp_path / "new.ckpt", tmp_path / "old.ckpt")
         expected = r"old\.ckpt: bad checkpoint metadata: .*'dropout_rate'"
         with pytest.raises(ParseError, match=expected):
@@ -350,6 +371,11 @@ class TestResize:
         bigger = make_vocab("her", "##2", "left", "extra", placeholders=4)
         with pytest.raises(ValidationError, match="slot replacement"):
             resize_for_vocab(ck, old, bigger)
+
+    def test_checkpoint_of_another_vocabulary_rejected(self):
+        old, new, ck = expanded_pair()
+        with pytest.raises(ValidationError, match="vocabulary digest mismatch"):
+            resize_for_vocab(ck, new, new)
 
     def test_non_placeholder_change_rejected(self):
         vocab = make_vocab("her", placeholders=1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from phenotag.corpus import Document, EntityLabel, EntitySpan, LABELS
-from phenotag.errors import ConfigurationError, ValidationError
+from phenotag.errors import ValidationError
 from phenotag.evaluation import (
     MatchReport,
     aggregate_runs,
@@ -174,7 +174,7 @@ class TestAggregate:
         assert st.ci_low == st.mean == st.ci_high
 
     def test_hand_computed_two_values(self):
-        st = aggregate_values([0.8, 0.9], confidence=0.95)
+        st = aggregate_values([0.8, 0.9])
         assert st.mean == pytest.approx(0.85)
         assert st.stdev == pytest.approx(0.07071067811865477)
         half = 12.706204736174698 * st.stdev / math.sqrt(2)
@@ -187,7 +187,7 @@ class TestAggregate:
     def test_critical_value_pinned_at_95(self, df, t_crit):
         # the exact floats scipy.stats.t.ppf(0.975, df) returns
         values = [0.5 + 0.01 * (i % 3) for i in range(df + 1)]
-        st = aggregate_values(values, confidence=0.95)
+        st = aggregate_values(values)
         n = len(values)
         assert st.ci_high == st.mean + t_crit * st.stdev / math.sqrt(n)
         assert st.ci_low == st.mean - t_crit * st.stdev / math.sqrt(n)
@@ -209,11 +209,6 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             aggregate_runs([])
-
-    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5])
-    def test_confidence_outside_unit_interval_rejected(self, confidence):
-        with pytest.raises(ConfigurationError, match="confidence"):
-            aggregate_values([0.8, 0.9], confidence=confidence)
 
     def test_ci_brackets_mean(self):
         rng = random.Random(5)

@@ -127,6 +127,15 @@ class TestMatchCounts:
         assert list(result.counts) == list(LABELS)
 
 
+class TestSpanOrder:
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12))
+    def test_span_order_is_start_end_then_label_value(self, span_list):
+        # every site that sorts spans relies on the type's own order
+        assert sorted(span_list) == sorted(
+            span_list, key=lambda s: (s.start_char, s.end_char, s.label.value))
+
+
 def mutations(size):
     """Byte edits of a file of ``size`` bytes: overwrites, then a cut or not."""
     edit = st.tuples(st.integers(0, max(size - 1, 0)), st.integers(0, 255))

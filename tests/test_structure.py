@@ -69,6 +69,38 @@ def test_two_thread_pools():
     }
 
 
+def test_every_checkpoint_consumer_checks_the_vocabulary():
+    # A public encoder function given both a model and a vocabulary must
+    # reject a vocabulary other than the model's: it calls check_vocab, or a
+    # function that does (predict_corpus through predict).
+    functions = {}
+    for path in sorted((PACKAGE / "encoder").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[node.name] = node
+
+    def names(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def called(node) -> set[str]:
+        return {
+            c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+            for c in ast.walk(node) if isinstance(c, ast.Call)
+        }
+
+    checking = {"check_vocab"}
+    while more := {n for n, node in functions.items() if called(node) & checking} - checking:
+        checking |= more
+    consumers = {
+        name for name, node in functions.items()
+        if not name.startswith("_")
+        and {"Checkpoint", "Vocabulary"} <= set().union(
+            *(names(a.annotation) for a in node.args.args if a.annotation))
+    }
+    assert "predict_corpus" in consumers
+    assert sorted(consumers - checking) == []
+
+
 def test_no_module_reads_blas_thread_variables():
     # The encoder holds numpy's BLAS at one thread itself; what it does must
     # not depend on the caller's thread settings.
