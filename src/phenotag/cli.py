@@ -290,6 +290,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # the JSON report is written to --out with its suffix replaced by .json
+    if Path(args.out).suffix == ".json":
+        raise PhenotagError(f"--out {args.out}: the table and the JSON report would share it")
     gold = load_corpus(args.gold)
     pred = load_corpus(args.pred)
     report = score(gold, pred)

@@ -18,15 +18,20 @@ from .corpus import Document, EntityLabel, EntitySpan, LABELS, pair_documents
 from .errors import ValidationError
 
 MODES = ("exact", "lenient")
+#: Error categories, in the order the error table lists them.
+CATEGORIES = ("boundary_mismatch", "missing", "type_confusion", "spurious", "split")
 #: Level of the Student-t intervals that ``aggregate_runs`` reports.
 CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
 class ClassMetrics:
-    tp: int
-    fp: int
-    fn: int
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+
+    def __add__(self, other: "ClassMetrics") -> "ClassMetrics":
+        return ClassMetrics(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
     @property
     def precision(self) -> float:
@@ -51,11 +56,9 @@ class MatchResult:
 
 
 def _qualifies(gold: EntitySpan, pred: EntitySpan, mode: str) -> bool:
-    if gold.label != pred.label:
-        return False
     if mode == "exact":
-        return gold.start_char == pred.start_char and gold.end_char == pred.end_char
-    return pred.start_char < gold.end_char and gold.start_char < pred.end_char
+        return gold == pred
+    return gold.label == pred.label and gold.overlaps(pred)
 
 
 def match_spans(
@@ -86,24 +89,17 @@ def match_spans(
 
 @dataclass(frozen=True)
 class ModeReport:
-    per_label: dict[EntityLabel, ClassMetrics]
-    labels: tuple[EntityLabel, ...]
+    """Counts per label; the report's labels are the keys, in order."""
 
-    @property
-    def micro(self) -> ClassMetrics:
-        return ClassMetrics(
-            tp=sum(self.per_label[l].tp for l in self.labels),
-            fp=sum(self.per_label[l].fp for l in self.labels),
-            fn=sum(self.per_label[l].fn for l in self.labels),
-        )
+    per_label: dict[EntityLabel, ClassMetrics]
 
     @property
     def micro_f1(self) -> float:
-        return self.micro.f1
+        return sum(self.per_label.values(), ClassMetrics()).f1
 
     @property
     def macro_f1(self) -> float:
-        return sum(self.per_label[l].f1 for l in self.labels) / len(self.labels)
+        return sum(m.f1 for m in self.per_label.values()) / len(self.per_label)
 
 
 @dataclass(frozen=True)
@@ -113,20 +109,11 @@ class MatchReport:
     exact: ModeReport
     lenient: ModeReport
 
-    def mode(self, name: str) -> ModeReport:
-        if name == "exact":
-            return self.exact
-        if name == "lenient":
-            return self.lenient
-        raise ValidationError(f"unknown match mode {name!r}")
-
     def to_dict(self) -> dict:
-        out: dict = {"labels": [l.value for l in self.exact.labels]}
+        out: dict = {"labels": [l.value for l in self.exact.per_label]}
         for mode in MODES:
-            rep = self.mode(mode)
             out[mode] = {
-                l.value: [rep.per_label[l].tp, rep.per_label[l].fp, rep.per_label[l].fn]
-                for l in rep.labels
+                l.value: [c.tp, c.fp, c.fn] for l, c in getattr(self, mode).per_label.items()
             }
         return out
 
@@ -152,8 +139,8 @@ class MatchReport:
                         f"integers, not {counts!r}"
                     )
                 per_label[l] = ClassMetrics(*counts)
-            reports[mode] = ModeReport(per_label, labels)
-        return cls(exact=reports["exact"], lenient=reports["lenient"])
+            reports[mode] = ModeReport(per_label)
+        return cls(**reports)
 
 
 def score(
@@ -161,36 +148,28 @@ def score(
     pred_docs: Sequence[Document],
     labels: Sequence[EntityLabel] = LABELS,
 ) -> MatchReport:
-    """Corpus-level report: counts summed over documents, both match modes.
+    """Corpus-level report: each label's ``match_spans`` counts summed over
+    documents, in both match modes.
 
-    Macro F1 averages over the configured label set (a label absent from the
-    data contributes an F1 of 0); micro F1 comes from globally summed counts.
+    Macro F1 averages over the given labels (a label absent from the data
+    contributes an F1 of 0); micro F1 comes from the counts summed over them.
     Documents are paired by ``corpus.pair_documents``.
     """
     pairs = pair_documents(gold_docs, pred_docs)
-    label_tuple = tuple(labels)
-    reports: dict[str, ModeReport] = {}
+    reports = {}
     for mode in MODES:
-        totals = {l: [0, 0, 0] for l in label_tuple}
-        for gold_doc, pred_doc in pairs:
-            result = match_spans(gold_doc.entities, pred_doc.entities, mode)
-            for l in label_tuple:
-                c = result.counts[l]
-                totals[l][0] += c.tp
-                totals[l][1] += c.fp
-                totals[l][2] += c.fn
+        docs = [match_spans(g.entities, p.entities, mode).counts for g, p in pairs]
         reports[mode] = ModeReport(
-            {l: ClassMetrics(*totals[l]) for l in label_tuple}, label_tuple
+            {l: sum((counts[l] for counts in docs), ClassMetrics()) for l in labels}
         )
-    return MatchReport(exact=reports["exact"], lenient=reports["lenient"])
+    return MatchReport(**reports)
 
 
 def format_match_report(report: MatchReport) -> str:
     """Table layout: one row per entity type plus macro/micro rows; exact
     values with lenient values in parentheses."""
     lines = ["entity_type\tprecision\trecall\tf1"]
-    for label in report.exact.labels:
-        e = report.exact.per_label[label]
+    for label, e in report.exact.per_label.items():
         l = report.lenient.per_label[label]
         lines.append(
             f"{label.value}\t{e.precision:.3f} ({l.precision:.3f})"
@@ -249,16 +228,17 @@ def aggregate_runs(reports: Sequence[MatchReport]) -> RunAggregate:
     """
     if not reports:
         raise ValidationError("cannot aggregate an empty list of reports")
-    labels = reports[0].exact.labels
-    if any(set(r.exact.labels) != set(labels) for r in reports):
+    labels = list(reports[0].exact.per_label)
+    if any(set(r.exact.per_label) != set(labels) for r in reports):
         raise ValidationError("cannot aggregate reports over different label sets")
     metrics: dict[str, MetricStats] = {}
     for mode in MODES:
-        metrics[f"{mode}.macro_f1"] = aggregate_values([r.mode(mode).macro_f1 for r in reports])
-        metrics[f"{mode}.micro_f1"] = aggregate_values([r.mode(mode).micro_f1 for r in reports])
+        runs = [getattr(r, mode) for r in reports]
+        metrics[f"{mode}.macro_f1"] = aggregate_values([m.macro_f1 for m in runs])
+        metrics[f"{mode}.micro_f1"] = aggregate_values([m.micro_f1 for m in runs])
         for label in labels:
             metrics[f"{mode}.f1.{label.value}"] = aggregate_values(
-                [r.mode(mode).per_label[label].f1 for r in reports]
+                [m.per_label[label].f1 for m in runs]
             )
     return RunAggregate(len(reports), metrics)
 
@@ -315,27 +295,34 @@ class ErrorCase:
 
 @dataclass
 class ErrorBreakdown:
-    """Prediction errors partitioned into four categories.
+    """Prediction errors under lenient matching, one list per ``CATEGORIES``
+    name. A case names its gold span, its prediction, or both.
 
-    boundary_mismatch: lenient-matched pair whose boundaries differ;
-    missing: gold span with no overlapping prediction of any label;
-    type_confusion: gold span overlapped only by predictions of a different
-    label (counted once per gold); spurious: prediction overlapping no gold.
+    boundary_mismatch: a lenient-matched pair whose boundaries differ (a
+    lenient true positive that exact matching counts as an fp and an fn).
+
+    Each lenient false negative is in one of two categories:
+    type_confusion: a gold span that a prediction of another label overlaps,
+    named with the first such prediction, even when a same-label prediction
+    matched to another gold span also overlaps it;
+    missing: any other gold span, overlapped by no prediction or only by
+    same-label ones matched to other gold spans.
+
+    A lenient false positive is in at most one category:
+    spurious: a prediction that overlaps no gold span;
+    split: a prediction that overlaps a gold span of its own label, named
+    with the first such gold span, which another prediction matched (the
+    fragments of a span predicted in pieces).
+    A prediction that overlaps only gold spans of other labels is in none.
     """
 
-    boundary_mismatch: list[ErrorCase] = field(default_factory=list)
-    missing: list[ErrorCase] = field(default_factory=list)
-    type_confusion: list[ErrorCase] = field(default_factory=list)
-    spurious: list[ErrorCase] = field(default_factory=list)
+    cases: dict[str, list[ErrorCase]] = field(
+        default_factory=lambda: {name: [] for name in CATEGORIES}
+    )
 
     @property
     def counts(self) -> dict[str, int]:
-        return {
-            "boundary_mismatch": len(self.boundary_mismatch),
-            "missing": len(self.missing),
-            "type_confusion": len(self.type_confusion),
-            "spurious": len(self.spurious),
-        }
+        return {name: len(cases) for name, cases in self.cases.items()}
 
 
 def categorize_errors(
@@ -353,23 +340,22 @@ def categorize_errors(
         matched_pred = {id(p) for _, p in result.pairs}
         for g, p in result.pairs:
             if (g.start_char, g.end_char) != (p.start_char, p.end_char):
-                out.boundary_mismatch.append(ErrorCase(doc_id, g, p))
+                out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
         for g in gold:
             if id(g) in matched_gold:
                 continue
-            confused = [
-                p for p in pred if p.overlaps(g) and p.label != g.label
-            ]
-            if confused:
-                out.type_confusion.append(ErrorCase(doc_id, g, confused[0]))
-            else:
-                # no overlap at all, or a same-label one another gold consumed
-                out.missing.append(ErrorCase(doc_id, g, None))
+            confused = next((p for p in pred if p.overlaps(g) and p.label != g.label), None)
+            category = "missing" if confused is None else "type_confusion"
+            out.cases[category].append(ErrorCase(doc_id, g, confused))
         for p in pred:
             if id(p) in matched_pred:
                 continue
-            if not any(p.overlaps(g) for g in gold):
-                out.spurious.append(ErrorCase(doc_id, None, p))
+            # greedy matching would have taken such a gold span were it unmatched
+            same = next((g for g in gold if g.overlaps(p) and g.label == p.label), None)
+            if same is not None:
+                out.cases["split"].append(ErrorCase(doc_id, same, p))
+            elif not any(p.overlaps(g) for g in gold):
+                out.cases["spurious"].append(ErrorCase(doc_id, None, p))
     return out
 
 
@@ -385,7 +371,7 @@ def format_error_table(breakdown: ErrorBreakdown) -> str:
             return "-"
         return f"({span.start_char},{span.end_char},{span.label.value})"
 
-    for name in ("boundary_mismatch", "missing", "type_confusion", "spurious"):
-        for case in getattr(breakdown, name):
+    for name, cases in breakdown.cases.items():
+        for case in cases:
             lines.append(f"{name}\t{case.doc_id}\t{fmt(case.gold)}\t{fmt(case.pred)}")
     return "\n".join(lines) + "\n"

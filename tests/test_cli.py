@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import itertools
 import json
@@ -27,6 +28,22 @@ def write_report(path, labels, count=1):
 
 
 ALL_LABELS = [label.value for label in EntityLabel]
+
+
+def edited_predictions(docs, first):
+    """``docs`` with four errors made from document ``first`` on: drop one
+    span, shift one end boundary, relabel one span, add one span."""
+    out = [Document(d.doc_id, d.text, list(d.entities)) for d in docs]
+    dropped, shifted, relabeled, added = out[first:first + 4]
+    del dropped.entities[0]
+    s = shifted.entities[0]
+    shifted.entities[0] = EntitySpan(s.start_char, s.end_char - 1, s.label)
+    s = relabeled.entities[0]
+    labels = list(EntityLabel)
+    relabeled.entities[0] = EntitySpan(
+        s.start_char, s.end_char, labels[(labels.index(s.label) + 1) % len(labels)])
+    added.entities.insert(0, EntitySpan(0, 3, labels[0]))
+    return out
 
 
 class TestSynth:
@@ -106,6 +123,41 @@ class TestEvaluateAndErrors:
                    "--out", str(tmp_path / "a.tsv")) == 0
         rows = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
         assert rows[:4] == ["entity_type", "TumorSize", "Macro average", "Micro average"]
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # pins taken from the scorer before it became a sum of per-document
+        # counts: a refactor of the scorer must leave these files unchanged
+        gold = tmp_path / "gold.jsonl"
+        run("synth", "--seed", "4", "--docs", "10", "--test-fraction", "0",
+            "--out", str(gold))
+        reports = []
+        for first in (0, 4):
+            pred = tmp_path / f"pred{first}.jsonl"
+            save_corpus(edited_predictions(load_corpus(gold), first), pred)
+            assert run("evaluate", "--gold", str(gold), "--pred", str(pred),
+                       "--out", str(tmp_path / f"r{first}.tsv")) == 0
+            reports.append(tmp_path / f"r{first}.json")
+        assert run("aggregate", "--group", f"a={reports[0]},{reports[1]}",
+                   "--group", f"b={reports[1]}", "--out", str(tmp_path / "agg.tsv")) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("r0.tsv", "r0.json", "r4.json", "agg.tsv")}
+        assert digests == {
+            "r0.tsv": "c22e994f3958f5fb7f0de3f46dfefed94ecaf63018b52263c79457f559018606",
+            "r0.json": "8f64f9648561cb85ed9a1ff9423913b409847aadf8fe5ecd0d5df8c7888281f9",
+            "r4.json": "1e6b99ac54eacbe0fe495274732335eed8fcc6dc5727bb37a570d9d368c5c528",
+            "agg.tsv": "8ee1ed53c8a912de76b458b81ddd0c3667fee19a30b933aeb31d0f10f9692b71",
+        }
+
+    def test_out_path_that_is_the_json_report_is_one_line_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        run("synth", "--seed", "4", "--docs", "4", "--test-fraction", "0",
+            "--out", str(corpus))
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--gold", str(corpus), "--pred", str(corpus),
+                   "--out", str(out)) == 1
+        assert "--out" in one_line_error(capsys)
+        assert not out.exists()
 
     def test_errors_command(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

@@ -12,6 +12,7 @@ from phenotag.evaluation import (
     aggregate_values,
     categorize_errors,
     format_aggregate_table,
+    format_error_table,
     format_match_report,
     match_spans,
     score,
@@ -112,7 +113,7 @@ class TestScore:
         subset = corpus200[:40]
         report = score(subset, subset)
         for mode in ("exact", "lenient"):
-            rep = report.mode(mode)
+            rep = getattr(report, mode)
             assert rep.micro_f1 == 1.0
             for label in LABELS:
                 if rep.per_label[label].tp:
@@ -237,7 +238,30 @@ class TestErrorTaxonomy:
         breakdown = categorize_errors(gold_docs, pred_docs)
         assert breakdown.counts == {
             "boundary_mismatch": 1, "missing": 0, "type_confusion": 0, "spurious": 0,
+            "split": 0,
         }
+
+    def test_split(self):
+        # one gold span predicted as three fragments: the first is matched,
+        # each of the other two is a split row naming the gold span
+        text = "the tumor measures 2 cm in length and 1 cm in width"
+        whole = text.index("2 cm")
+        fragments = [(whole, text.index(" and")), (text.index("1 cm"), text.index(" in w")),
+                     (text.index("width"), len(text))]
+        gold_docs = [Document("d0", text, [EntitySpan(whole, len(text), TS)])]
+        pred_docs = [Document("d0", text, [EntitySpan(s, e, TS) for s, e in fragments])]
+        table = format_error_table(categorize_errors(gold_docs, pred_docs))
+        assert [text[s:e] for s, e in fragments] == ["2 cm in length", "1 cm", "width"]
+        assert table.splitlines() == [
+            "category\tcount",
+            "boundary_mismatch\t1", "missing\t0", "type_confusion\t0", "spurious\t0",
+            "split\t2",
+            "",
+            "category\tdoc_id\tgold\tpred",
+            "boundary_mismatch\td0\t(19,51,TumorSize)\t(19,33,TumorSize)",
+            "split\td0\t(19,51,TumorSize)\t(38,42,TumorSize)",
+            "split\td0\t(19,51,TumorSize)\t(46,51,TumorSize)",
+        ]
 
     def test_missing(self):
         text = "stage recorded as mx today"
@@ -246,7 +270,7 @@ class TestErrorTaxonomy:
         pred_docs = [Document("d0", text, [])]
         breakdown = categorize_errors(gold_docs, pred_docs)
         assert breakdown.counts["missing"] == 1
-        assert breakdown.missing[0].gold.label == CS
+        assert breakdown.cases["missing"][0].gold.label == CS
 
     def test_type_confusion(self):
         text = "grade is 3 overall"
@@ -255,7 +279,7 @@ class TestErrorTaxonomy:
         pred_docs = [Document("d0", text, [EntitySpan(pos, pos + 1, CS)])]
         breakdown = categorize_errors(gold_docs, pred_docs)
         assert breakdown.counts["type_confusion"] == 1
-        case = breakdown.type_confusion[0]
+        case = breakdown.cases["type_confusion"][0]
         assert case.gold.label == CG and case.pred.label == CS
 
     def test_spurious(self):

@@ -5,6 +5,7 @@ Examples are derandomized, so a run repeats exactly and a failure is not
 a matter of luck.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from phenotag.basevocab import default_vocabulary
 from phenotag.corpus import (
     LABELS,
+    Document,
     EntitySpan,
     decode_bio,
     encode_bio,
@@ -22,7 +24,7 @@ from phenotag.corpus import (
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from phenotag.errors import ParseError, PhenotagError
-from phenotag.evaluation import MODES, match_spans
+from phenotag.evaluation import MODES, MatchReport, categorize_errors, match_spans, score
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import (
     CONTINUATION_MARKER,
@@ -125,6 +127,46 @@ class TestMatchCounts:
             counts = result.counts[label]
             assert (counts.tp, counts.fp, counts.fn) == (tp, fp, fn)
         assert list(result.counts) == list(LABELS)
+
+
+class TestScore:
+    @DETERMINISTIC
+    @given(st.lists(st.tuples(st.lists(spans, max_size=6, unique=True),
+                              st.lists(spans, max_size=6, unique=True)), max_size=4),
+           st.lists(st.sampled_from(LABELS), min_size=1, unique=True))
+    def test_counts_are_sums_over_documents_and_round_trip(self, docs, labels):
+        text = "x" * 40
+        report = score([Document(f"d{i}", text, g) for i, (g, _) in enumerate(docs)],
+                       [Document(f"d{i}", text, p) for i, (_, p) in enumerate(docs)],
+                       labels=labels)
+        for mode in MODES:
+            per_doc = [match_spans(g, p, mode).counts for g, p in docs]
+            per_label = getattr(report, mode).per_label
+            assert list(per_label) == labels
+            for label, c in per_label.items():
+                assert (c.tp, c.fp, c.fn) == (sum(d[label].tp for d in per_doc),
+                                              sum(d[label].fp for d in per_doc),
+                                              sum(d[label].fn for d in per_doc))
+        back = MatchReport.from_dict(report.to_dict())
+        assert back == report
+        assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
+
+
+class TestErrorCategories:
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12, unique=True),
+           st.lists(spans, max_size=12, unique=True))
+    def test_each_unmatched_same_label_overlap_is_one_split_row(self, gold, pred):
+        text = "x" * 40
+        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
+        matched = {id(p) for _, p in match_spans(gold, pred, "lenient").pairs}
+        fragments = [p for p in pred if id(p) not in matched
+                     and any(g.label == p.label and g.overlaps(p) for g in gold)]
+        split = breakdown.cases["split"]
+        assert sorted(case.pred for case in split) == sorted(fragments)
+        for case in split:
+            assert case.gold in gold
+            assert case.gold.label == case.pred.label and case.gold.overlaps(case.pred)
 
 
 class TestSpanOrder:
