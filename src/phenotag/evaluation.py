@@ -328,7 +328,8 @@ class ErrorBreakdown:
 def categorize_errors(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> ErrorBreakdown:
-    """Assign every false negative and false positive to one error category.
+    """Sort the errors of lenient matching into ``CATEGORIES`` (see
+    ``ErrorBreakdown`` for which errors each holds).
 
     Documents are paired by ``corpus.pair_documents``.
     """
