@@ -124,33 +124,31 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         vocab_digest, step = str(meta["vocab_digest"]), int(meta["step"])
     except (ConfigurationError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"{path}: bad checkpoint metadata: {exc}") from None
+    shapes = _param_shapes(config)
     params: dict[str, np.ndarray] = {}
     for _ in range(unpack("<I", "tensor count")):
         try:
             name = bytes(take(unpack("<H", "name length"), "tensor name")).decode("utf-8")
         except UnicodeDecodeError:
             raise ParseError(f"{path}: tensor name is not UTF-8") from None
+        if name not in shapes:
+            raise ParseError(f"{path}: unexpected tensor {name!r}")
         shape = tuple(
             unpack("<Q", f"shape of {name!r}")
             for _ in range(unpack("<B", f"ndim of {name!r}"))
         )
+        if shape != shapes[name]:
+            raise ParseError(
+                f"{path}: tensor {name!r} has shape {shape}, its config needs {shapes[name]}"
+            )
         data = take(math.prod(shape) * 8, f"tensor {name!r} of shape {shape}")
         params[name] = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape)
-    if pos != len(buf):
-        raise ParseError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
-    shapes = _param_shapes(config)
-    for name in sorted(shapes.keys() | params.keys()):
-        if name not in params:
-            raise ParseError(f"{path}: no tensor {name!r}")
-        if name not in shapes:
-            raise ParseError(f"{path}: unexpected tensor {name!r}")
-        if params[name].shape != shapes[name]:
-            raise ParseError(
-                f"{path}: tensor {name!r} has shape {params[name].shape}, "
-                f"its config needs {shapes[name]}"
-            )
         if not np.isfinite(params[name]).all():
             raise ValidationError(f"tensor {name!r} contains non-finite values")
+    if pos != len(buf):
+        raise ParseError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
+    if len(params) != len(shapes):  # every name read is one of the config's
+        raise ParseError(f"{path}: no tensor {min(shapes.keys() - params.keys())!r}")
     return Checkpoint(params=params, config=config, vocab_digest=vocab_digest, step=step)
 
 

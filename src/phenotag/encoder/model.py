@@ -17,22 +17,21 @@ plain expressions, so results are bitwise the same with fewer allocations.
 ``tag_logits`` runs the training forward's kernels in the same order but
 keeps no backward cache, so a call never holds every layer's activations.
 
-A training step runs on every CPU that the process may use and that other
-processes leave free, and gives the bits of a serial step at any thread
-count. The forward with a cache cuts the padded batch into one row
-slice per thread, never re-padded, and runs the slices on a thread pool,
-the calling thread taking the first; each writes its rows of whole-batch
-arrays. Every forward kernel computes a row from that row alone
-(numpy calls BLAS once per row for the 3-D products, and once per row and
-head in attention), so a slice writes the bits the whole batch would. The
-backward is not cut by rows: it flattens rows into one 2-D product per
-weight, and the BLAS may round a row differently at another row count
-(OpenBLAS switches to small-matrix kernels below ~1,200 output elements).
-Instead, each product of its activation-gradient chain runs whole on the
-calling thread while a pool thread runs the weight gradients the step before
-made ready, each a whole-batch call in the serial operands and order. The
-loss heads run on the calling thread, and the cache-free forward never uses
-the pool, so prediction's threads never nest in it.
+Training and prediction share one thread pool and one runner, ``_run_all``, on
+the CPUs that other processes leave free. A training step gives the bits of a
+serial step at any thread count. The forward with a cache cuts the padded
+batch into one row slice per thread, never re-padded, and runs the slices as
+calls, each writing its rows of whole-batch arrays. Every forward kernel
+computes a row from that row alone (numpy calls BLAS once per row for the 3-D
+products, and once per row and head in attention), so a slice writes the bits
+the whole batch would. The backward is not cut by rows: it flattens rows into
+one 2-D product per weight, and the BLAS may round a row differently at
+another row count (OpenBLAS switches to small-matrix kernels below ~1,200
+output elements). Instead, each product of its activation-gradient chain runs
+whole beside a call that runs the weight gradients the step before made ready,
+each a whole-batch call in the serial operands and order. The loss heads run
+on the calling thread, and the cache-free forward never calls the runner, so
+prediction's calls on the pool never wait on it.
 
 Importing this module holds numpy's OpenBLAS at one thread for the process,
 so a product's bytes never follow the caller's thread settings, and sets
@@ -41,9 +40,9 @@ frees (~23 MB at batch 32 x 40) then stays in the heap for the next step
 instead of going back to the OS and being page-faulted in again. Blocks up
 to 32 MiB come from the heap, and the heap is trimmed only above 64 MiB free
 (setting only one of these would fix glibc's dynamic mmap threshold at
-128 KiB). The third caps malloc at one arena, so prediction's worker threads
-reuse what training freed instead of each growing an arena. Other C
-libraries are left alone.
+128 KiB). The third caps malloc at one arena, so the pool's threads reuse
+what any thread freed, prediction's calls what training freed, instead of
+each growing an arena. Other C libraries are left alone.
 """
 
 from __future__ import annotations
@@ -243,9 +242,9 @@ def _workers() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _training_threads() -> int:
-    """Threads for a training step: one per usable CPU that no other thread
-    is running on now (``/proc/loadavg`` counts them with the caller), all of
+def _run_threads() -> int:
+    """Threads for a ``_run_all``: one per usable CPU that no other thread is
+    running on now (``/proc/loadavg`` counts them with the caller), all of
     them where that is unknown; one where numpy links another BLAS than the
     OpenBLAS pinned at import, whose own threads would contend with the pool's."""
     if _set_blas_threads is None:
@@ -271,7 +270,7 @@ def _other_cpus() -> set[int] | None:
     Linux wakes a sleeping thread on its waker's CPU when the thread's last
     CPU is busy, and on two CPUs it does not then look for an idle one, so a
     pool thread woken by the caller would queue behind it. A pool thread
-    moves itself to these CPUs before it runs its share.
+    moves itself to these CPUs before it takes a call.
     """
     if _current_cpu is None or not hasattr(os, "sched_setaffinity"):
         return None
@@ -280,8 +279,8 @@ def _other_cpus() -> set[int] | None:
 
 @cache
 def _pool() -> ThreadPoolExecutor:
-    """The process's one training pool: a thread per usable CPU but the
-    caller's, however many threads each step asks for."""
+    """The process's one pool: a thread per usable CPU but the caller's,
+    however many threads each run asks for."""
     return ThreadPoolExecutor(max(1, _workers() - 1))
 
 
@@ -289,40 +288,48 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _run_all(calls: list[Callable[[], object]]) -> None:
-    """Run the calls, dealt round-robin to the calling thread and up to
-    ``_training_threads() - 1`` pool threads.
+def _run_all(calls: list[Callable[[], object]]) -> list:
+    """Run the calls on the calling thread and up to ``_run_threads() - 1``
+    pool threads, each taking the next call that none has taken; returns the
+    results in call order. After a call raises no call starts, and once the
+    running ones end the first exception, the calling thread's before the
+    pool's, propagates unchanged. A call must never call ``_run_all``: the
+    pool's threads could all wait on one another."""
+    results: list = [None] * len(calls)
+    # One iterator for every thread: a next() on it is one C call that runs
+    # under the GIL, so no two threads take the same call.
+    todo = iter(enumerate(calls))
 
-    Returns once every share has ended; the first exception raised, the
-    calling thread's before the pool's, then propagates unchanged.
-    """
-    threads = min(_training_threads(), len(calls))
-
-    def run(share: list[Callable[[], object]], cpus: set[int] | None = None) -> None:
+    def run(cpus: set[int] | None = None) -> None:
         if cpus:
             try:
                 os.sched_setaffinity(0, cpus)
             except OSError:  # a placement hint only
                 pass
-        for call in share:
-            call()
+        for i, call in todo:
+            try:
+                results[i] = call()
+            except BaseException:
+                for _ in todo:  # take every call left, so that none starts
+                    pass
+                raise
 
-    if threads <= 1:
-        return run(calls)
-    pool, cpus = _pool(), _other_cpus()
-    futures = [pool.submit(run, calls[j::threads], cpus) for j in range(1, threads)]
+    threads = min(_run_threads(), len(calls))
+    cpus = _other_cpus() if threads > 1 else None
+    futures = [_pool().submit(run, cpus) for _ in range(1, threads)]
     try:
-        run(calls[::threads])
+        run()
     finally:
         wait(futures)
     for future in futures:
         future.result()
+    return results
 
 
 def _row_shards(rows: int) -> list[slice]:
-    """``rows`` cut into one contiguous slice per training thread, or per row
+    """``rows`` cut into one contiguous slice per thread of a run, or per row
     if fewer."""
-    n = max(1, min(_training_threads(), rows))
+    n = max(1, min(_run_threads(), rows))
     cuts = [rows * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -438,12 +445,9 @@ def _attention_backward(config, o, dctx):
 
 
 def _beside(chain: Callable[[], object], *weight_grads: Callable[[], object]):
-    """Run a step of the activation-gradient chain on the calling thread, and
-    the weight gradients the last step made ready on a pool thread; returns
-    the chain step's result."""
-    result = []
-    _run_all([lambda: result.append(chain()), lambda: [call() for call in weight_grads]])
-    return result[0]
+    """Run a step of the activation-gradient chain beside the weight gradients
+    the last step made ready; returns the chain step's result."""
+    return _run_all([chain, lambda: [call() for call in weight_grads]])[0]
 
 
 def _layer_backward(params, config, pre, o, x, dh, grads) -> np.ndarray:
@@ -495,8 +499,8 @@ def backward_hidden(
 ) -> None:
     """Backpropagate a gradient on hidden states into ``grads`` (accumulating).
 
-    Each product of the activation-gradient chain runs on the calling thread
-    beside the weight gradients of the step before it on a pool thread.
+    Each product of the activation-gradient chain runs beside the weight
+    gradients of the step before it, the two as one run of ``_run_all``.
     """
     config: ModelConfig = cache["config"]
     ids = cache["ids"]

@@ -20,14 +20,15 @@ speed, not the spans. The memory held grows with the call's sentences; of
 the forward's output only tag ids are kept, not logits, and nothing outlives
 the call.
 
-The ``tag_logits`` calls run on a pool of one thread per usable CPU, each
-with one BLAS thread (see ``model``; numpy and scipy release the GIL);
-results are kept by window, so call order cannot change a bit.
+The ``tag_logits`` calls run through ``model._run_all``, on the calling thread
+and the encoder's one pool, as many threads as the machine's load leaves
+CPUs free, each with one BLAS thread (numpy and scipy release the GIL);
+results are kept by window, so which thread runs a call cannot change a bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -67,24 +68,21 @@ def _tag(
         for ws, we in sent_windows:
             by_length.setdefault(we - ws, []).append((i, ws))
 
-    pool = ThreadPoolExecutor(model._workers())
-    try:
-        calls = []
-        for length, keys in by_length.items():
-            rows = max(1, BATCH_TOKENS // (length + 2))
-            for b in range(0, len(keys), rows):
-                batch = keys[b : b + rows]
-                ids = np.empty((len(batch), length + 2), dtype=np.int64)
-                ids[:, 0] = vocab.cls_id
-                ids[:, -1] = vocab.sep_id
-                for row, (i, ws) in zip(ids, batch):
-                    row[1:-1] = sents[i][ws : ws + length]
-                calls.append((batch, pool.submit(_tag_rows, ckpt.params, ckpt.config, ids)))
-        window_tags: dict[tuple[int, int], np.ndarray] = {}
-        for batch, call in calls:
-            window_tags.update(zip(batch, call.result()))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    batches, calls = [], []
+    for length, keys in by_length.items():
+        rows = max(1, BATCH_TOKENS // (length + 2))
+        for b in range(0, len(keys), rows):
+            batch = keys[b : b + rows]
+            ids = np.empty((len(batch), length + 2), dtype=np.int64)
+            ids[:, 0] = vocab.cls_id
+            ids[:, -1] = vocab.sep_id
+            for row, (i, ws) in zip(ids, batch):
+                row[1:-1] = sents[i][ws : ws + length]
+            batches.append(batch)
+            calls.append(partial(_tag_rows, ckpt.params, ckpt.config, ids))
+    window_tags: dict[tuple[int, int], np.ndarray] = {}
+    for batch, batch_tags in zip(batches, model._run_all(calls)):
+        window_tags.update(zip(batch, batch_tags))
 
     tags = []
     for i, sent_windows in enumerate(windows):

@@ -308,12 +308,13 @@ class ErrorBreakdown:
     missing: any other gold span, overlapped by no prediction or only by
     same-label ones matched to other gold spans.
 
-    A lenient false positive is in at most one category:
+    Each lenient false positive is in at least one of three categories:
     spurious: a prediction that overlaps no gold span;
     split: a prediction that overlaps a gold span of its own label, named
     with the first such gold span, which another prediction matched (the
-    fragments of a span predicted in pieces).
-    A prediction that overlaps only gold spans of other labels is in none.
+    fragments of a span predicted in pieces);
+    type_confusion: a prediction that overlaps only gold spans of other
+    labels, named with the first of them unless that span's row names it.
     """
 
     cases: dict[str, list[ErrorCase]] = field(
@@ -342,21 +343,26 @@ def categorize_errors(
         for g, p in result.pairs:
             if (g.start_char, g.end_char) != (p.start_char, p.end_char):
                 out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
+        confusions = set()
         for g in gold:
             if id(g) in matched_gold:
                 continue
             confused = next((p for p in pred if p.overlaps(g) and p.label != g.label), None)
             category = "missing" if confused is None else "type_confusion"
             out.cases[category].append(ErrorCase(doc_id, g, confused))
+            confusions.add((g, confused))
         for p in pred:
             if id(p) in matched_pred:
                 continue
+            overlapped = [g for g in gold if g.overlaps(p)]
             # greedy matching would have taken such a gold span were it unmatched
-            same = next((g for g in gold if g.overlaps(p) and g.label == p.label), None)
+            same = next((g for g in overlapped if g.label == p.label), None)
             if same is not None:
                 out.cases["split"].append(ErrorCase(doc_id, same, p))
-            elif not any(p.overlaps(g) for g in gold):
+            elif not overlapped:
                 out.cases["spurious"].append(ErrorCase(doc_id, None, p))
+            elif (overlapped[0], p) not in confusions:
+                out.cases["type_confusion"].append(ErrorCase(doc_id, overlapped[0], p))
     return out
 
 

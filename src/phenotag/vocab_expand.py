@@ -147,14 +147,8 @@ def load_wordlist(path: str | Path) -> list[str]:
 
 def default_curated_words() -> list[str]:
     """The curated domain wordlist shipped with the package."""
-    text = resources.files("phenotag").joinpath("data/curated_words.txt").read_text(
-        encoding="utf-8"
-    )
-    return [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    with resources.as_file(resources.files("phenotag") / "data/curated_words.txt") as path:
+        return load_wordlist(path)
 
 
 @dataclass(frozen=True)

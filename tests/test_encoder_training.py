@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -406,6 +407,21 @@ def repeated_docs():
     ] + generate_synthetic(13, 8)
 
 
+@pytest.fixture
+def pool_size(monkeypatch):
+    """Sets the encoder's pool to run every call on ``threads`` threads: the
+    pool is remade with a thread per usable CPU but the caller's, and each
+    run takes all of them."""
+
+    def set_size(threads):
+        monkeypatch.setattr(model_module, "_workers", lambda: threads)
+        monkeypatch.setattr(model_module, "_run_threads", lambda: threads)
+        model_module._pool.cache_clear()
+
+    yield set_size
+    model_module._pool.cache_clear()  # its threads end with the pool
+
+
 def _tiny_model(vocab, max_positions):
     config = ModelConfig(vocab_size=len(vocab), n_layers=1, d_model=16, n_heads=2,
                          d_ff=32, max_positions=max_positions, seed=0)
@@ -477,9 +493,9 @@ class TestBatchedPrediction:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_repeated_sentences_tagged_once_with_their_own_spans(
-        self, repeated_docs, monkeypatch, workers
+        self, repeated_docs, pool_size, workers
     ):
-        monkeypatch.setattr(model_module, "_workers", lambda: workers)
+        pool_size(workers)
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, 16)
         expected = _reference_predict(ck, repeated_docs, vocab)
@@ -526,7 +542,8 @@ vocab = default_vocabulary()
 ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
 docs = load_corpus(sys.argv[1])
 for workers in (1, 2, 4):
-    module._workers = lambda: workers
+    module._workers = module._run_threads = lambda: workers
+    module._pool.cache_clear()
     print(hashlib.sha256(repr(predict(ckpt, docs, vocab)).encode()).hexdigest())
 """
 
@@ -540,7 +557,8 @@ from phenotag.corpus import Document
 from phenotag.encoder import Adam, ModelConfig, init_model, predict
 from phenotag.encoder.model import ner_loss_and_grads
 
-importlib.import_module("phenotag.encoder.model")._workers = lambda: 2
+model = importlib.import_module("phenotag.encoder.model")
+model._workers = model._run_threads = lambda: 2
 vocab = default_vocabulary()
 ckpt = init_model(ModelConfig(vocab_size=len(vocab)), vocab)
 rng = np.random.default_rng(0)
@@ -558,14 +576,15 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 class TestPooledPrediction:
-    """The tag_logits calls run on a thread pool; the spans are those of
-    one call per window, whatever the pool size and BLAS thread count."""
+    """The tag_logits calls run on the encoder's thread pool; the spans are
+    those of one call per window, whatever the pool size and BLAS thread
+    count."""
 
     predict_module = TestBatchedPrediction.predict_module
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_spans_equal_the_per_window_loop(self, mixed_docs, monkeypatch, workers):
-        monkeypatch.setattr(model_module, "_workers", lambda: workers)
+    def test_spans_equal_the_per_window_loop(self, mixed_docs, pool_size, workers):
+        pool_size(workers)
         vocab = default_vocabulary()
         ck = _tiny_model(vocab, 16)
         expected = _reference_predict(ck, mixed_docs, vocab)
@@ -593,7 +612,27 @@ class TestPooledPrediction:
         digest = hashlib.sha256(repr(expected).encode()).hexdigest()
         assert proc.stdout.split() == [digest] * 3
 
-    def test_error_in_a_call_propagates_and_cancels_the_rest(self, mixed_docs,
+    def test_two_threads_run_calls_at_pool_size_2(self, mixed_docs, pool_size, monkeypatch):
+        # the first two calls wait for each other: one thread alone would
+        # break the barrier at its timeout
+        real = self.predict_module.tag_logits
+        barrier = threading.Barrier(2, timeout=60)
+        started = itertools.count()
+        threads = set()
+
+        def meeting(params, config, ids, mask):
+            if next(started) < 2:
+                threads.add(threading.current_thread())
+                barrier.wait()
+            return real(params, config, ids, mask)
+
+        monkeypatch.setattr(self.predict_module, "tag_logits", meeting)
+        pool_size(2)
+        vocab = default_vocabulary()
+        predict_corpus(_tiny_model(vocab, 16), mixed_docs, vocab)
+        assert len(threads) == 2
+
+    def test_error_in_a_call_propagates_and_cancels_the_rest(self, mixed_docs, pool_size,
                                                                 monkeypatch):
         monkeypatch.setattr(self.predict_module, "BATCH_TOKENS", 32)  # many calls
         vocab = default_vocabulary()
@@ -616,7 +655,7 @@ class TestPooledPrediction:
             return real(params, config, ids, mask)
 
         monkeypatch.setattr(self.predict_module, "tag_logits", failing)
-        monkeypatch.setattr(model_module, "_workers", lambda: 2)
+        pool_size(2)
         with pytest.raises(ConfigurationError) as raised:
             predict_corpus(ck, mixed_docs, vocab)
         assert raised.value is error
@@ -746,7 +785,7 @@ cases = (  # (config, pre-training batch, fine-tuning batch)
 )
 path = Path(sys.argv[1]) / "out.ckpt"
 for workers in (1, 2, 3, 4):
-    model._training_threads = lambda: workers
+    model._run_threads = lambda: workers
     digests = []
     for config, pretrain_batch, finetune_batch in cases:
         pre, _ = pretrain_mlm(init_model(config, vocab), docs, vocab, steps=3,
@@ -795,7 +834,7 @@ class TestShardedTraining:
         tags = np.where(mask > 0, rng.integers(0, config.n_tags, (7, 23)), -1)
         trained = []
         for threads in (1, 4):
-            monkeypatch.setattr(model_module, "_training_threads", lambda: threads)
+            monkeypatch.setattr(model_module, "_run_threads", lambda: threads)
             params = init_params(config)
             adam = Adam(params, 1e-3)
             interval = sys.getswitchinterval()
@@ -810,45 +849,41 @@ class TestShardedTraining:
         assert all(np.array_equal(trained[0][k], trained[1][k]) for k in trained[0])
 
     def test_error_in_a_pool_thread_reaches_the_caller_after_every_shard_ends(
-        self, monkeypatch
+        self, pool_size
     ):
-        config = ModelConfig(vocab_size=40, n_layers=1, d_model=16, n_heads=2, d_ff=32,
-                             max_positions=8)
-        params = init_params(config)
-        ids = np.arange(5, 13)[:, None] + np.zeros(6, dtype=np.int64)  # row r starts 5 + r
-        real = model_module._forward_rows
+        # Four threads each take one of the first four calls and meet at a
+        # barrier; then call 1 raises while the others are still running,
+        # and none of the eight calls left may start.
+        barrier = threading.Barrier(4, timeout=60)
         error = ConfigurationError("shard failed")
-        ended, failed_on = [], []
+        started, ended = [], []
 
-        def second_shard_fails(params, config, ids, mask, stages):
-            first = int(ids[0, 0]) - 5
-            if first == 2:  # rows 2-3, dealt to a pool thread
-                failed_on.append(threading.current_thread())
+        def shard(i):
+            started.append(i)
+            if i < 4:
+                barrier.wait()
+            if i == 1:
                 raise error
-            if threading.current_thread() is not threading.main_thread():
-                time.sleep(0.3)  # still running when the calling thread's shard ends
-            h = real(params, config, ids, mask, stages)
-            ended.append(first)
-            return h
+            time.sleep(0.3)  # still running when call 1 raises
+            ended.append(i)
 
-        monkeypatch.setattr(model_module, "_training_threads", lambda: 4)
-        monkeypatch.setattr(model_module, "_forward_rows", second_shard_fails)
+        pool_size(4)
         with pytest.raises(ConfigurationError) as raised:
-            ner_loss_and_grads(params, config, ids, np.ones(ids.shape), np.zeros_like(ids))
+            model_module._run_all([partial(shard, i) for i in range(12)])
         assert raised.value is error
-        assert sorted(ended) == [0, 4, 6]
-        assert failed_on and failed_on[0] is not threading.main_thread()
+        assert sorted(started) == [0, 1, 2, 3]
+        assert sorted(ended) == [0, 2, 3]
 
     def test_steps_of_any_thread_count_share_one_pool(self, monkeypatch):
-        # Every share waits for all the others, so each needs a thread of its
-        # own; the step sizes follow the machine's load, and a pool per size
+        # Every call waits for all the others, so each needs a thread of its
+        # own; the run sizes follow the machine's load, and a pool per size
         # would leave 1 + 2 + 3 idle threads behind.
         monkeypatch.setattr(model_module, "_workers", lambda: 4)
         model_module._pool.cache_clear()
         before = set(threading.enumerate())
         try:
             for threads in (2, 3, 4):
-                monkeypatch.setattr(model_module, "_training_threads", lambda: threads)
+                monkeypatch.setattr(model_module, "_run_threads", lambda: threads)
                 barrier = threading.Barrier(threads, timeout=60)
                 model_module._run_all([barrier.wait] * threads)
             started = set(threading.enumerate()) - before
@@ -864,7 +899,7 @@ def test_training_step_reuses_memory_without_page_faults(monkeypatch):
     at batch 32 x 40 on two training threads first-touches almost no new pages."""
     import resource  # POSIX only, like the glibc this test needs
 
-    monkeypatch.setattr(model_module, "_training_threads", lambda: 2)
+    monkeypatch.setattr(model_module, "_run_threads", lambda: 2)
 
     config = ModelConfig(vocab_size=2585)
     params = init_params(config)

@@ -282,6 +282,18 @@ class TestErrorTaxonomy:
         case = breakdown.cases["type_confusion"][0]
         assert case.gold.label == CG and case.pred.label == CS
 
+    def test_type_confusion_of_each_prediction(self):
+        # two predictions of another label cut one gold span: the gold span's
+        # row names the first, and the second gets a row of its own
+        text = "grade is 3 overall"
+        gold_docs = [Document("d0", text, [EntitySpan(9, 18, CG)])]
+        pred_docs = [Document("d0", text, [EntitySpan(9, 10, CS), EntitySpan(11, 18, CS)])]
+        rows = format_error_table(categorize_errors(gold_docs, pred_docs)).splitlines()
+        assert rows[rows.index("category\tdoc_id\tgold\tpred") + 1:] == [
+            "type_confusion\td0\t(9,18,CancerGrade)\t(9,10,CancerStage)",
+            "type_confusion\td0\t(9,18,CancerGrade)\t(11,18,CancerStage)",
+        ]
+
     def test_spurious(self):
         gold_docs, pred_docs = docs_from([], [EntitySpan(3, 8, HRT)])
         breakdown = categorize_errors(gold_docs, pred_docs)
@@ -303,7 +315,8 @@ class TestErrorTaxonomy:
             breakdown = categorize_errors(gold_docs, pred_docs)
             lenient = score(gold_docs, pred_docs).lenient
             total_lenient_fn = sum(lenient.per_label[l].fn for l in LABELS)
-            assert (
-                breakdown.counts["missing"] + breakdown.counts["type_confusion"]
-                == total_lenient_fn
-            )
+            # a false positive's type_confusion row may name a matched gold span
+            matched = {g for g, _ in match_spans(gold, pred, "lenient").pairs}
+            named = [case.gold for case in breakdown.cases["missing"]] + list(
+                {case.gold for case in breakdown.cases["type_confusion"]} - matched)
+            assert len(named) == len(set(named)) == total_lenient_fn

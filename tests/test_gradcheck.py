@@ -77,7 +77,7 @@ def test_one_row_shards_give_the_serial_gradients(monkeypatch):
         monkeypatch.setattr(gradcheck_module, name,
                             first_grads(name, getattr(gradcheck_module, name)))
     for workers in (1, 2):
-        monkeypatch.setattr(model, "_training_threads", lambda: workers)
+        monkeypatch.setattr(model, "_run_threads", lambda: workers)
         assert grad_check().max_rel_error <= 1e-4
     assert cut[-1] == [slice(0, 1), slice(1, 2)]
     for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):

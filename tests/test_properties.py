@@ -169,6 +169,27 @@ class TestErrorCategories:
             assert case.gold.label == case.pred.label and case.gold.overlaps(case.pred)
 
 
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12, unique=True),
+           st.lists(spans, max_size=12, unique=True))
+    def test_every_lenient_error_is_named(self, gold, pred):
+        text = "x" * 40
+        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
+        pairs = match_spans(gold, pred, "lenient").pairs
+        matched_gold, matched_pred = {g for g, _ in pairs}, {p for _, p in pairs}
+        rows = [(name, case) for name, cases in breakdown.cases.items() for case in cases]
+        for p in set(pred) - matched_pred:
+            assert any(case.pred == p for name, case in rows
+                       if name in ("spurious", "split", "type_confusion")), p
+        for g in set(gold) - matched_gold:
+            named = [name for name, case in rows
+                     if name in ("missing", "type_confusion") and case.gold == g]
+            # one missing row, or one row per prediction confused with it
+            assert named == ["missing"] or set(named) == {"type_confusion"}, (g, named)
+        for case in breakdown.cases["type_confusion"]:
+            assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
+
+
 class TestSpanOrder:
     @DETERMINISTIC
     @given(st.lists(spans, max_size=12))
@@ -255,6 +276,18 @@ class TestLoadersOnMutatedBytes:
                        encoding="utf-8")
         with pytest.raises(PhenotagError, match="line 1"):
             load_corpus(bad)
+
+
+def test_checkpoint_whose_shape_runs_into_its_data_is_a_parse_error(valid_files, tmp_path):
+    # Byte 252 is the ndim of emb_ln_b, eight zeros: at 10 its shape reads on
+    # through that data into the next tensor's header, and a zero dimension
+    # let a shape too big for numpy pass the check on the bytes left.
+    data = bytearray((valid_files / "m.ckpt").read_bytes())
+    assert data[252] == 1
+    data[252] = 10
+    (tmp_path / "m.ckpt").write_bytes(data)
+    with pytest.raises(ParseError, match=r"tensor 'emb_ln_b' has shape \(8, 0, "):
+        load_checkpoint(tmp_path / "m.ckpt")
 
 
 def test_unmutated_files_load(valid_files):

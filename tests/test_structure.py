@@ -59,14 +59,12 @@ def test_one_training_loop():
     assert call_sites("step") == loop
 
 
-def test_two_thread_pools():
-    # Training's steps share one pool for the process; prediction sizes its
-    # own to every usable CPU for the length of a call. A third pool has to
-    # be argued for.
-    assert call_sites("ThreadPoolExecutor") == {
-        "phenotag.encoder.model._pool",
-        "phenotag.encoder.predict._tag",
-    }
+def test_one_thread_pool_and_one_runner():
+    # Training and prediction share the process's one pool, and only
+    # _run_all hands its threads work: a second pool or policy has to be
+    # argued for.
+    assert call_sites("ThreadPoolExecutor") == {"phenotag.encoder.model._pool"}
+    assert call_sites("submit") == {"phenotag.encoder.model._run_all"}
 
 
 def test_every_checkpoint_consumer_checks_the_vocabulary():
