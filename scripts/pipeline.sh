@@ -20,9 +20,9 @@
 # for speed only: the encoder holds numpy's OpenBLAS at one thread itself, so
 # the files are the same at any count, but an unpinned OpenBLAS first starts
 # a thread per CPU, and importing numpy and the encoder took ~0.15 s longer
-# per process. predict and every training step run their forward calls on
-# one pool, on the cores that the other jobs leave free, and give the same
-# bytes at any pool size.
+# per process. predict and every training step run on one thread pool, on
+# the cores that the other jobs leave free, and give the same bytes at any
+# pool size.
 #
 # Usage: scripts/pipeline.sh [OUT_DIR]
 # Environment: PHENOTAG_PY (python executable, default python3),

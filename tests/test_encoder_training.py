@@ -824,9 +824,9 @@ class TestShardedTraining:
         assert proc.returncode == 0, proc.stderr
         assert [line.split() for line in proc.stdout.splitlines()] == [_SERIAL_DIGESTS] * 4
 
-    def test_four_threads_switching_often_give_the_serial_steps(self, monkeypatch):
+    def test_four_threads_switching_often_give_the_serial_steps(self, pool_size):
         # more threads than a 2-core machine has, trading the interpreter
-        # every 10 us: a lost or doubled gradient update would change the bits
+        # every 10 us: a lost, doubled or twice-taken call would change the bits
         config = ModelConfig(vocab_size=2585)
         rng = np.random.default_rng(3)
         ids = rng.integers(5, config.vocab_size, (7, 23))
@@ -834,7 +834,7 @@ class TestShardedTraining:
         tags = np.where(mask > 0, rng.integers(0, config.n_tags, (7, 23)), -1)
         trained = []
         for threads in (1, 4):
-            monkeypatch.setattr(model_module, "_run_threads", lambda: threads)
+            pool_size(threads)
             params = init_params(config)
             adam = Adam(params, 1e-3)
             interval = sys.getswitchinterval()
