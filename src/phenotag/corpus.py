@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -176,6 +177,11 @@ def save_corpus(corpus: Iterable[Document], path: str | Path) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+# Where one sentence ends: a newline (dropped), or the gap after a period that
+# whitespace follows (the period stays with its sentence).
+_SENTENCE_END = re.compile(r"\n|(?<=\.)(?=\s)")
+
+
 def split_sentences(text: str) -> list[tuple[str, int]]:
     """Split on newlines and on periods followed by whitespace.
 
@@ -183,23 +189,13 @@ def split_sentences(text: str) -> list[tuple[str, int]]:
     offsets point at the first retained character in the original text.
     """
     sentences: list[tuple[str, int]] = []
-
-    def emit(segment: str, seg_start: int) -> None:
+    start = 0
+    for end in _SENTENCE_END.finditer(text + "\n"):
+        segment = text[start : end.start()]
         stripped = segment.strip()
         if stripped:
-            lead = len(segment) - len(segment.lstrip())
-            sentences.append((stripped, seg_start + lead))
-
-    start = 0
-    n = len(text)
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            emit(text[start:i], start)
-            start = i + 1
-        elif ch == "." and i + 1 < n and text[i + 1].isspace():
-            emit(text[start : i + 1], start)
-            start = i + 1
-    emit(text[start:], start)
+            sentences.append((stripped, start + len(segment) - len(segment.lstrip())))
+        start = end.end()
     return sentences
 
 
@@ -225,9 +221,12 @@ def encode_corpus(
 
     Sentences are produced one at a time. Within one call each distinct
     sentence text is tokenized once, and its occurrences share that
-    ``TokenizedText`` and ``ids`` list, which callers must not modify. So the
-    memory held grows with the number of distinct sentences, not with the
-    corpus; nothing outlives the call's iterator.
+    ``TokenizedText`` and ``ids`` list, which callers must not modify; a
+    caller may key work on a sentence's text by that object, as ``predict``
+    does to decode each distinct sentence once. So the memory held grows
+    with the number of distinct sentences, not with the corpus; nothing
+    outlives the call's iterator but the vocabulary's memo of segmented
+    words (see ``tokenizer.Vocabulary``).
     """
     encoded: dict[str, tuple[TokenizedText, list[int]]] = {}
     for d, doc in enumerate(docs):

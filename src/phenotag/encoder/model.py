@@ -55,7 +55,6 @@ from functools import cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import ConfigurationError
 from .config import ModelConfig
@@ -169,7 +168,13 @@ def _layernorm_backward(dy, cache):
 
 
 def _gelu(x, out=(None, None)):
-    """GELU with the exact normal CDF; returns (activation, cdf)."""
+    """GELU with the exact normal CDF; returns (activation, cdf).
+
+    ``scipy.special`` is imported here, at the first GELU, so a command that
+    runs no forward pass does not pay for it.
+    """
+    from scipy.special import ndtr
+
     act, cdf = out
     cdf = ndtr(x, out=cdf)
     return np.multiply(x, cdf, out=act), cdf

@@ -14,11 +14,11 @@ bits as a call with that row alone: batching changes the speed, not the spans.
 Within one call each distinct sentence is tagged once. Sentences are keyed by
 their ids, so sentences that differ only in case or spacing share one row.
 The distinct sentences of the call are tagged together in one pass, and each
-occurrence is decoded with its own tokens and offset. Since a row's logits do
-not depend on the rows stacked with it, dropping repeated rows changes the
-speed, not the spans. The memory held grows with the call's sentences; of
-the forward's output only tag ids are kept, not logits, and nothing outlives
-the call.
+distinct sentence text is decoded once, its spans shifted to each
+occurrence's offset. Since a row's logits do not depend on the rows stacked
+with it, dropping repeated rows changes the speed, not the spans. The memory
+held grows with the call's sentences; of the forward's output only tag ids
+are kept, not logits, and nothing outlives the call.
 
 The ``tag_logits`` calls run through ``model._run_all``, on the calling thread
 and the encoder's one pool, as many threads as the machine's load leaves
@@ -103,18 +103,25 @@ def predict(
 ) -> list[list[EntitySpan]]:
     """Predict entity spans for each document, in span order.
 
-    The vocabulary must be the one the checkpoint was trained with.
+    The vocabulary must be the one the checkpoint was trained with. Each
+    distinct sentence text is decoded once, through the ``TokenizedText``
+    that ``encode_corpus`` shares among its occurrences, and each occurrence
+    takes those spans shifted by its own offset.
     """
     ckpt.check_vocab(vocab)
     sents = list(encode_corpus(docs, vocab))
     distinct = list(dict.fromkeys(tuple(sent.ids) for sent in sents))
     tags = dict(zip(distinct, _tag(ckpt, vocab, distinct)))
+    decoded: dict[int, list[EntitySpan]] = {}  # by id(sent.tokens); sents keeps them alive
     spans: list[list[EntitySpan]] = [[] for _ in docs]
     for sent in sents:
-        for span in decode_bio(tags[tuple(sent.ids)], sent.tokens):
-            spans[sent.doc].append(EntitySpan(
-                span.start_char + sent.offset, span.end_char + sent.offset, span.label,
-            ))
+        key = id(sent.tokens)
+        if key not in decoded:
+            decoded[key] = decode_bio(tags[tuple(sent.ids)], sent.tokens)
+        spans[sent.doc].extend(
+            EntitySpan(span.start_char + sent.offset, span.end_char + sent.offset, span.label)
+            for span in decoded[key]
+        )
     for doc_spans in spans:
         doc_spans.sort()
     return spans

@@ -10,7 +10,6 @@ prediction can never consume several gold spans.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -49,42 +48,63 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One document's matching for one mode."""
+    """One document's matching for one mode: the (gold, prediction) pairs in
+    prediction order, then the unmatched predictions (false positives) and
+    the unmatched gold spans (false negatives), each sorted."""
 
     pairs: list[tuple[EntitySpan, EntitySpan]]
-    counts: dict[EntityLabel, ClassMetrics]
+    unmatched_pred: list[EntitySpan]
+    unmatched_gold: list[EntitySpan]
 
+    def add_counts(self, counts: dict[EntityLabel, list[int]]) -> None:
+        """Add this matching's [tp, fp, fn] to ``counts``, per label."""
+        for g, _ in self.pairs:
+            counts[g.label][0] += 1
+        for p in self.unmatched_pred:
+            counts[p.label][1] += 1
+        for g in self.unmatched_gold:
+            counts[g.label][2] += 1
 
-def _qualifies(gold: EntitySpan, pred: EntitySpan, mode: str) -> bool:
-    if mode == "exact":
-        return gold == pred
-    return gold.label == pred.label and gold.overlaps(pred)
+    @property
+    def counts(self) -> dict[EntityLabel, ClassMetrics]:
+        counts = {label: [0, 0, 0] for label in LABELS}
+        self.add_counts(counts)
+        return {label: ClassMetrics(*c) for label, c in counts.items()}
 
 
 def match_spans(
     gold: Sequence[EntitySpan], pred: Sequence[EntitySpan], mode: str
 ) -> MatchResult:
-    """Greedy one-to-one matching of predictions against gold spans."""
+    """Greedy one-to-one matching of predictions against gold spans; the one
+    matcher behind ``score`` and ``categorize_errors``."""
     if mode not in MODES:
         raise ValidationError(f"unknown match mode {mode!r}")
+    exact = mode == "exact"
     gold_sorted = sorted(gold)
-    pred_sorted = sorted(pred)
     taken = [False] * len(gold_sorted)
+    of_label: dict[EntityLabel, list[int]] = {}
+    for gi, g in enumerate(gold_sorted):
+        of_label.setdefault(g.label, []).append(gi)
     pairs: list[tuple[EntitySpan, EntitySpan]] = []
-    matched_pred = [False] * len(pred_sorted)
-    for pi, p in enumerate(pred_sorted):
-        for gi, g in enumerate(gold_sorted):
-            if taken[gi] or not _qualifies(g, p, mode):
-                continue
-            taken[gi] = True
-            matched_pred[pi] = True
-            pairs.append((g, p))
-            break
-    tp = Counter(g.label for g, _ in pairs)
-    fp = Counter(p.label for p, m in zip(pred_sorted, matched_pred) if not m)
-    fn = Counter(g.label for g, t in zip(gold_sorted, taken) if not t)
-    counts = {label: ClassMetrics(tp[label], fp[label], fn[label]) for label in LABELS}
-    return MatchResult(pairs, counts)
+    unmatched: list[EntitySpan] = []
+    for p in sorted(pred):
+        # a qualifying gold span starts at p's start (exact) or before its end
+        stop = p.start_char + 1 if exact else p.end_char
+        for gi in of_label.get(p.label, ()):
+            g = gold_sorted[gi]
+            if g.start_char >= stop:
+                unmatched.append(p)  # gold is sorted: no later span qualifies
+                break
+            if not taken[gi] and (
+                (g.start_char, g.end_char) == (p.start_char, p.end_char)
+                if exact else p.start_char < g.end_char
+            ):
+                taken[gi] = True
+                pairs.append((g, p))
+                break
+        else:
+            unmatched.append(p)
+    return MatchResult(pairs, unmatched, [g for g, t in zip(gold_sorted, taken) if not t])
 
 
 @dataclass(frozen=True)
@@ -151,17 +171,19 @@ def score(
     """Corpus-level report: each label's ``match_spans`` counts summed over
     documents, in both match modes.
 
-    Macro F1 averages over the given labels (a label absent from the data
-    contributes an F1 of 0); micro F1 comes from the counts summed over them.
-    Documents are paired by ``corpus.pair_documents``.
+    The counts are summed as integers straight from the matcher, so one
+    ``ClassMetrics`` is built per label and mode, not per document. Macro F1
+    averages over the given labels (a label absent from the data contributes
+    an F1 of 0); micro F1 comes from the counts summed over them. Documents
+    are paired by ``corpus.pair_documents``.
     """
     pairs = pair_documents(gold_docs, pred_docs)
     reports = {}
     for mode in MODES:
-        docs = [match_spans(g.entities, p.entities, mode).counts for g, p in pairs]
-        reports[mode] = ModeReport(
-            {l: sum((counts[l] for counts in docs), ClassMetrics()) for l in labels}
-        )
+        counts = {label: [0, 0, 0] for label in LABELS}
+        for g, p in pairs:
+            match_spans(g.entities, p.entities, mode).add_counts(counts)
+        reports[mode] = ModeReport({l: ClassMetrics(*counts[l]) for l in labels})
     return MatchReport(**reports)
 
 
@@ -337,10 +359,10 @@ def categorize_errors(
     out = ErrorBreakdown()
     for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
         doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
-        result = match_spans(gold, pred, "lenient")
-        matched_gold = {id(g) for g, _ in result.pairs}
-        matched_pred = {id(p) for _, p in result.pairs}
-        for g, p in result.pairs:
+        pairs = match_spans(gold, pred, "lenient").pairs
+        matched_gold = {id(g) for g, _ in pairs}
+        matched_pred = {id(p) for _, p in pairs}
+        for g, p in pairs:
             if (g.start_char, g.end_char) != (p.start_char, p.end_char):
                 out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
         confusions = set()

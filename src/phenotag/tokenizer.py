@@ -44,11 +44,17 @@ class Vocabulary:
         tokens: token strings; the id of a token is its index.
         rewritten_ids: ids whose placeholder surface was overwritten by the
             most recent expansion (empty for a freshly loaded vocabulary).
+
+    ``tokenize`` keeps each word's ``wordpiece`` segmentation in a private
+    memo on the vocabulary, so each distinct word is segmented once. The memo
+    lives as long as the vocabulary and holds one entry per distinct word it
+    has segmented; a new vocabulary, such as an expansion's, starts empty.
     """
 
     tokens: tuple[str, ...]
     rewritten_ids: tuple[int, ...] = ()
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _pieces: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _placeholder_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -71,6 +77,7 @@ class Vocabulary:
                 f"{MAX_PLACEHOLDER_SLOTS}"
             )
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pieces", {})
         object.__setattr__(self, "_placeholder_ids", placeholders)
 
     def __len__(self) -> int:
@@ -257,14 +264,21 @@ class TokenizedText:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> TokenizedText:
-    """Compose basic tokenization and wordpiece, tracking offsets throughout."""
+    """Compose basic tokenization and wordpiece, tracking offsets throughout.
+
+    A word's pieces come from the vocabulary's memo, filled by ``wordpiece``
+    the first time the vocabulary meets the word (see ``Vocabulary``).
+    """
+    memo = vocab._pieces
     pieces: list[str] = []
     offsets: list[tuple[int, int]] = []
     word_index: list[int] = []
     is_continuation: list[bool] = []
     for w, (word, s, e) in enumerate(basic_tokenize(text)):
-        subs = wordpiece(word, vocab)
-        if subs == [UNK] or len(word) != e - s:
+        subs = memo.get(word)
+        if subs is None:
+            subs = memo[word] = tuple(wordpiece(word, vocab))
+        if subs == (UNK,) or len(word) != e - s:
             # [UNK] (or a rare lowercasing length change) spans the whole word.
             for j, piece in enumerate(subs):
                 pieces.append(piece)

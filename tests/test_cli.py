@@ -689,6 +689,23 @@ class TestStartupImports:
         )
         assert loaded[-1] == "False"
 
+    def test_resize_loads_no_scipy(self, tiny_model, tmp_path):
+        # resize runs no forward pass, so no GELU needs scipy.special's ndtr
+        argv = ["phenotag", "resize", "--ckpt", str(tiny_model["ckpt"]),
+                "--old-vocab", tiny_model["base"], "--new-vocab", tiny_model["cur"],
+                "--out", str(tmp_path / "resized.ckpt")]
+        loaded = self.run_python(
+            "import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('phenotag', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print('scipy' in sys.modules)"
+        )
+        assert (tmp_path / "resized.ckpt").is_file()
+        assert loaded[-1] == "False"
+
     def test_data_commands_skip_encoder_and_scipy_stats(self, tmp_path):
         # aggregate's t critical value needs scipy.special, so numpy too
         loaded = self.run_python(

@@ -24,6 +24,7 @@ from phenotag.corpus import (
     decode_bio,
     encode_corpus,
     save_corpus,
+    split_sentences,
 )
 from phenotag.encoder import (
     Adam,
@@ -501,6 +502,27 @@ class TestBatchedPrediction:
         expected = _reference_predict(ck, repeated_docs, vocab)
         assert sum(map(len, expected)) > 0
         assert [d.entities for d in predict_corpus(ck, repeated_docs, vocab)] == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_distinct_sentence_decoded_once(
+        self, repeated_docs, pool_size, monkeypatch, workers
+    ):
+        pool_size(workers)
+        vocab = default_vocabulary()
+        ck = _tiny_model(vocab, 16)
+        expected = _reference_predict(ck, repeated_docs, vocab)
+        assert sum(map(len, expected)) > 0
+        decoded = []
+        real = self.predict_module.decode_bio
+
+        def counting(tag_ids, tokenized):
+            decoded.append(tokenized)
+            return real(tag_ids, tokenized)
+
+        monkeypatch.setattr(self.predict_module, "decode_bio", counting)
+        assert [d.entities for d in predict_corpus(ck, repeated_docs, vocab)] == expected
+        sentences = [s for d in repeated_docs for s, _ in split_sentences(d.text)]
+        assert len(decoded) == len(set(sentences)) < len(sentences)
 
     def test_sentences_with_the_same_ids_share_one_row(self, monkeypatch):
         vocab = default_vocabulary()

@@ -21,6 +21,7 @@ from phenotag.corpus import (
     encode_bio,
     load_corpus,
     save_corpus,
+    split_sentences,
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
 from phenotag.errors import ParseError, PhenotagError
@@ -29,11 +30,13 @@ from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import (
     CONTINUATION_MARKER,
     UNK,
+    Vocabulary,
     basic_tokenize,
     load_vocab,
     save_vocab,
     tokenize,
 )
+from phenotag.vocab_expand import expand_frequency
 
 VOCAB = default_vocabulary()
 DETERMINISTIC = settings(derandomize=True, deadline=None,
@@ -77,6 +80,64 @@ class TestOffsets:
             else:
                 surface = piece[len(CONTINUATION_MARKER):] if cont else piece
                 assert text[s:e].lower() == surface
+
+
+def reference_split_sentences(text):
+    """split_sentences as a walk over every character."""
+    sentences = []
+
+    def emit(segment, seg_start):
+        stripped = segment.strip()
+        if stripped:
+            sentences.append((stripped, seg_start + len(segment) - len(segment.lstrip())))
+
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            emit(text[start:i], start)
+            start = i + 1
+        elif ch == "." and i + 1 < len(text) and text[i + 1].isspace():
+            emit(text[start : i + 1], start)
+            start = i + 1
+    emit(text[start:], start)
+    return sentences
+
+
+# letters, digits, the characters that end a sentence, ASCII whitespace and
+# Unicode whitespace that str.isspace() counts
+sentence_texts = st.lists(
+    st.sampled_from(list("ab1.\n \t\r\x0b\x0c") + ["\x1c", "\x85", "\xa0", "\u2028",
+                                                    "\u3000", ". ", ".\n"]),
+    max_size=40,
+).map("".join)
+
+
+class TestSentenceSplit:
+    @DETERMINISTIC
+    @given(sentence_texts)
+    def test_equals_the_character_loop(self, text):
+        assert split_sentences(text) == reference_split_sentences(text)
+
+
+class TestTokenizeMemo:
+    @DETERMINISTIC
+    @given(st.lists(texts, min_size=1, max_size=4))
+    def test_a_warm_memo_gives_a_fresh_vocabulary_s_result(self, some_texts):
+        warm = Vocabulary(VOCAB.tokens)
+        for text in some_texts:
+            tokenize(text, warm)
+        for text in some_texts:
+            fresh = Vocabulary(VOCAB.tokens)
+            assert fresh == warm
+            assert tokenize(text, warm) == tokenize(text, fresh)
+
+    def test_an_expanded_vocabulary_does_not_share_its_base_s_memo(self):
+        base = Vocabulary(VOCAB.tokens)
+        before = tokenize("carcinoma", base).pieces
+        assert len(before) > 1
+        expanded = expand_frequency(base, ["carcinoma"], 1)
+        assert tokenize("carcinoma", expanded).pieces == ("carcinoma",)
+        assert tokenize("carcinoma", base).pieces == before
 
 
 @st.composite
