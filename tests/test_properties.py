@@ -122,7 +122,7 @@ class TestSentenceSplit:
 class TestTokenizeMemo:
     @DETERMINISTIC
     @given(st.lists(texts, min_size=1, max_size=4))
-    def test_a_warm_memo_gives_a_fresh_vocabulary_s_result(self, some_texts):
+    def test_a_warm_memo_gives_what_a_fresh_one_gives(self, some_texts):
         warm = Vocabulary(VOCAB.tokens)
         for text in some_texts:
             tokenize(text, warm)
@@ -131,7 +131,7 @@ class TestTokenizeMemo:
             assert fresh == warm
             assert tokenize(text, warm) == tokenize(text, fresh)
 
-    def test_an_expanded_vocabulary_does_not_share_its_base_s_memo(self):
+    def test_an_expanded_vocabulary_starts_with_its_own_memo(self):
         base = Vocabulary(VOCAB.tokens)
         before = tokenize("carcinoma", base).pieces
         assert len(before) > 1
