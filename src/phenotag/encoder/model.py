@@ -10,7 +10,8 @@ plus a per-token output bias. A linear head over hidden states produces tag
 logits for token classification.
 
 All parameters live in a flat ``dict[str, np.ndarray]``. The public functions
-are pure: they never mutate their inputs. The private kernels work in place
+never mutate their inputs, but ``backward_hidden`` adds into the gradients it
+is given and spends the cache. The private kernels work in place
 on temporaries they allocated themselves, in the operation order of the
 plain expressions, so results are bitwise the same with fewer allocations.
 
@@ -24,14 +25,21 @@ batch into one row slice per thread, never re-padded, and runs the slices as
 calls, each writing its rows of whole-batch arrays. Every forward kernel
 computes a row from that row alone (numpy calls BLAS once per row for the 3-D
 products, and once per row and head in attention), so a slice writes the bits
-the whole batch would. The backward is not cut by rows: it flattens rows into
-one 2-D product per weight, and the BLAS may round a row differently at
-another row count (OpenBLAS switches to small-matrix kernels below ~1,200
-output elements). Instead, each product of its activation-gradient chain runs
-whole beside a call that runs the weight gradients the step before made ready,
-each a whole-batch call in the serial operands and order. The loss heads run
-on the calling thread, and the cache-free forward never calls the runner, so
+the whole batch would. The backward cuts each layer's activation-gradient
+chain (the layer-norm, GELU and attention gradients and the products
+``dy @ w.T`` between them) into row shards the same way. A shard flattens its
+rows into one 2-D product per weight, and OpenBLAS rounds a row of a product
+of at most 1,200 output elements differently (it switches to a small-matrix
+kernel), so the chain is cut only where every shard's products are larger,
+and otherwise runs as one call. What sums over rows stays whole: each weight's
+and each layer norm's gradient is one call in the serial operands and order,
+run with the chain shards of the layer below. The loss heads run on the
+calling thread, and the cache-free forward never calls the runner, so
 prediction's calls on the pool never wait on it.
+
+Masked keys get attention probability exactly 0, so no real position reads a
+pad's activations, and a pad's gradients are exactly 0. The forward therefore
+computes the GELU's normal CDF, its costliest kernel, only at real positions.
 
 Importing this module holds numpy's OpenBLAS at one thread for the process,
 so a product's bytes never follow the caller's thread settings, and sets
@@ -151,38 +159,48 @@ def _layernorm(x, g, b, out=(None, None, None)):
     return y, (xhat, inv, g)
 
 
-def _layernorm_backward(dy, cache):
-    xhat, inv, g = cache
-    axes = tuple(range(dy.ndim - 1))
-    dx = dy * g
-    tmp = dy * xhat
-    dg = tmp.sum(axis=axes)
-    db = dy.sum(axis=axes)
-    np.multiply(dx, xhat, out=tmp)
+def _layernorm_dx(dy, xhat, inv, g, out=None):
+    """Layer norm's gradient on its input, row by row."""
+    dx = np.multiply(dy, g, out=out)
+    tmp = np.multiply(dx, xhat)
     m2 = tmp.mean(-1, keepdims=True)
     dx -= dx.mean(-1, keepdims=True)
     np.multiply(xhat, m2, out=tmp)
     dx -= tmp
     dx *= inv
-    return dx, dg, db
+    return dx
 
 
-def _gelu(x, out=(None, None)):
+def _add_layernorm_grads(grads, name, dy, xhat):
+    """Add layer norm ``name``'s gradients on its gain and bias, sums over
+    every row, to ``grads``."""
+    axes = tuple(range(dy.ndim - 1))
+    grads[name + "_g"] += (dy * xhat).sum(axis=axes)
+    grads[name + "_b"] += dy.sum(axis=axes)
+
+
+def _gelu(x, out=(None, None), real=None):
     """GELU with the exact normal CDF; returns (activation, cdf).
 
-    ``scipy.special`` is imported here, at the first GELU, so a command that
-    runs no forward pass does not pay for it.
+    Given ``real``, a boolean mask over the leading axes of ``x``, the CDF
+    (into ``out``'s, which must then be given) is computed only where it is
+    true and is 0 elsewhere. ``scipy.special`` is imported here, at the first
+    GELU, so a command that runs no forward pass does not pay for it.
     """
     from scipy.special import ndtr
 
     act, cdf = out
-    cdf = ndtr(x, out=cdf)
+    if real is None:
+        cdf = ndtr(x, out=cdf)
+    else:
+        cdf.fill(0.0)
+        cdf[real] = ndtr(x[real])
     return np.multiply(x, cdf, out=act), cdf
 
 
-def _gelu_backward(dy, x, cdf):
+def _gelu_backward(dy, x, cdf, out=None):
     """dy * d/dx[x * cdf(x)] = dy * (cdf + x * pdf), with cdf from the forward."""
-    g = -0.5 * x
+    g = np.multiply(-0.5, x, out=out)
     g *= x
     np.exp(g, out=g)
     g *= _INV_SQRT_2PI
@@ -211,11 +229,6 @@ def _split_heads(x, n_heads):
     return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, s, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dk)
-
-
 def _affine(x, w, b, out=None):
     """x @ w + b, adding the bias into the product's buffer."""
     y = np.matmul(x, w, out=out)
@@ -223,10 +236,14 @@ def _affine(x, w, b, out=None):
     return y
 
 
-def _linear_dx(dy, w):
-    """dx = dy @ w.T for y = x @ w + b, over the rows flattened to 2-D."""
+def _linear_dx(dy, w, out=None):
+    """dx = dy @ w.T for y = x @ w + b, over the rows flattened to 2-D; ``out``
+    must be C-contiguous."""
     din, dout = w.shape
-    return (dy.reshape(-1, dout) @ w.T).reshape(dy.shape[:-1] + (din,))
+    if out is None:
+        out = np.empty(dy.shape[:-1] + (din,))
+    np.matmul(dy.reshape(-1, dout), w.T, out=out.reshape(-1, din))
+    return out
 
 
 def _add_linear_grads(grads, w, b, x, dy):
@@ -331,10 +348,10 @@ def _run_all(calls: list[Callable[[], object]]) -> list:
     return results
 
 
-def _row_shards(rows: int) -> list[slice]:
-    """``rows`` cut into one contiguous slice per thread of a run, or per row
-    if fewer."""
-    n = max(1, min(_run_threads(), rows))
+def _row_shards(rows: int, min_rows: int = 1) -> list[slice]:
+    """``rows`` cut into one contiguous slice per thread of a run, or fewer
+    so that each has at least ``min_rows`` rows."""
+    n = max(1, min(_run_threads(), rows // min_rows))
     cuts = [rows * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -371,7 +388,13 @@ def _forward_rows(
     e += params["pos_emb"][:s]
     h, _ = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"], (o["h"], o["xhat"], o["inv"]))
 
-    key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
+    # Unpadded, the key bias would be +0.0 everywhere: it changes only a -0.0
+    # score, and exp maps both to 1.
+    real = mask > 0
+    if real.all():
+        real = key_bias = None
+    else:
+        key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
     scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
     for i, o in zip(range(config.n_layers), stages):
         pre = f"l{i}."
@@ -382,7 +405,8 @@ def _forward_rows(
         qh, kh, vh = (_split_heads(a, config.n_heads) for a in (q, k, v))
         scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=o["probs"])
         scores *= scale
-        scores += key_bias
+        if key_bias is not None:
+            scores += key_bias
         probs = _softmax_last(scores, out=scores)
         _split_heads(o["ctx"], config.n_heads)[...] = probs @ vh
         attn = _affine(o["ctx"], params[pre + "attn_wo"], params[pre + "attn_bo"])
@@ -390,7 +414,7 @@ def _forward_rows(
         n1, _ = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"],
                            (o["n1"], o["xhat1"], o["inv1"]))
         hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"], o["hmid"])
-        act, _ = _gelu(hmid, (o["act"], o["cdf"]))
+        act, _ = _gelu(hmid, (o["act"], o["cdf"]), real)
         f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         f += n1  # residual
         h, _ = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"],
@@ -431,69 +455,76 @@ def forward_hidden(
     return stages[-1]["h"], cache
 
 
-def _attention_backward(config, o, dctx):
-    """Attention's gradients on q, k and v, from that on its merged context
-    ``dctx`` and the layer's activations ``o``."""
+# OpenBLAS (0.3.31, x86-64) runs a double product of at most this many output
+# elements on its small-matrix kernel, which rounds a row differently from the
+# kernel of a larger product. Measured for output widths 8 to 256 and inner
+# widths 32 to 256 (at 8 and 16 only 1-row products differ): row slices of
+# dy @ w.T equal the whole product's rows from 19 rows at width 64 and from 5
+# at width 256.
+_SMALL_PRODUCT_ELEMENTS = 1200
+
+# what only a layer's activation-gradient chain reads of its activations
+_CHAIN_ONLY = ("q", "k", "v", "probs", "hmid", "cdf", "inv1", "inv2")
+
+
+def _attention_backward(config, o, dctx, out):
+    """Attention's gradients on q, k and v, written to the three arrays of
+    ``out``, from that on its merged context ``dctx`` and the layer's
+    activations ``o``."""
     n_heads = config.n_heads
     scale = 1.0 / math.sqrt(config.d_model // n_heads)
     dctx_h = _split_heads(dctx, n_heads)
     qh, kh, vh = (_split_heads(o[name], n_heads) for name in ("q", "k", "v"))
+    dqh, dkh, dvh = (_split_heads(a, n_heads) for a in out)
     probs = o["probs"]
     dprobs = dctx_h @ vh.transpose(0, 1, 3, 2)
-    dvh = probs.transpose(0, 1, 3, 2) @ dctx_h
+    dvh[...] = probs.transpose(0, 1, 3, 2) @ dctx_h
     dscores = _softmax_backward(dprobs, probs)
-    dqh = dscores @ kh
-    dqh *= scale
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dkh *= scale
-    return _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+    np.multiply(dscores @ kh, scale, out=dqh)
+    np.multiply(dscores.transpose(0, 1, 3, 2) @ qh, scale, out=dkh)
 
 
-def _beside(chain: Callable[[], object], *weight_grads: Callable[[], object]):
-    """Run a step of the activation-gradient chain beside the weight gradients
-    the last step made ready; returns the chain step's result."""
-    return _run_all([chain, lambda: [call() for call in weight_grads]])[0]
-
-
-def _layer_backward(params, config, pre, o, x, dh, grads) -> np.ndarray:
-    """Backpropagate ``dh`` through one layer with activations ``o`` and input
-    ``x``, adding to ``grads``; returns the gradient on ``x``."""
+def _chain_rows(params, config, pre, o, dh, g) -> None:
+    """Backpropagate ``dh`` through one layer's activations ``o``, row by row:
+    writes the gradients on them, and in ``g["dx"]`` that on the layer's
+    input, to the arrays of ``g``. Every argument array covers the same rows."""
 
     def w(name):
         return params[pre + name]
 
-    def linear_grads(name, x, dy):
-        return partial(_add_linear_grads, grads, pre + name, pre + name.replace("_w", "_b"),
-                       x, dy)
+    dr2 = _layernorm_dx(dh, o["xhat2"], o["inv2"], w("ffn_ln_g"), g["dr2"])
+    dhmid = _gelu_backward(_linear_dx(dr2, w("ffn_w2")), o["hmid"], o["cdf"], g["dhmid"])
+    dn1 = _linear_dx(dhmid, w("ffn_w1"), g["dn1"])
+    dn1 += dr2  # residual around the feed-forward block
+    dr1 = _layernorm_dx(dn1, o["xhat1"], o["inv1"], w("attn_ln_g"), g["dr1"])
+    _attention_backward(config, o, _linear_dx(dr1, w("attn_wo")), (g["dq"], g["dk"], g["dv"]))
+    dx = _linear_dx(g["dq"], w("attn_wq"), g["dx"])
+    dx += dr1  # residual around attention
+    dx += _linear_dx(g["dk"], w("attn_wk"))
+    dx += _linear_dx(g["dv"], w("attn_wv"))
 
-    def layernorm_backward(name, dy, xhat, inv):
-        dx, dg, db = _layernorm_backward(dy, (xhat, inv, w(name + "_g")))
-        grads[pre + name + "_g"] += dg
-        grads[pre + name + "_b"] += db
-        return dx
 
-    dr2 = layernorm_backward("ffn_ln", dh, o["xhat2"], o["inv2"])
-    dhmid = _beside(lambda: _gelu_backward(_linear_dx(dr2, w("ffn_w2")), o["hmid"], o["cdf"]),
-                    linear_grads("ffn_w2", o["act"], dr2))
+def _layer_sums(grads, pre, o, x, dh, g) -> list[Callable[[], None]]:
+    """The calls that add one layer's weight and layer-norm gradients, each a
+    sum over every row, to ``grads``, once ``_chain_rows`` has written ``g``."""
+    linear = (("ffn_w2", o["act"], g["dr2"]), ("ffn_w1", o["n1"], g["dhmid"]),
+              ("attn_wo", o["ctx"], g["dr1"]), ("attn_wq", x, g["dq"]),
+              ("attn_wk", x, g["dk"]), ("attn_wv", x, g["dv"]))
+    return [
+        *(partial(_add_linear_grads, grads, pre + w, pre + w.replace("_w", "_b"), a, dy)
+          for w, a, dy in linear),
+        partial(_add_layernorm_grads, grads, pre + "ffn_ln", dh, o["xhat2"]),
+        partial(_add_layernorm_grads, grads, pre + "attn_ln", g["dn1"], o["xhat1"]),
+    ]
 
-    def feed_forward_input():
-        dn1 = _linear_dx(dhmid, w("ffn_w1"))
-        dn1 += dr2  # residual around the feed-forward block
-        return layernorm_backward("attn_ln", dn1, o["xhat1"], o["inv1"])
 
-    dr1 = _beside(feed_forward_input, linear_grads("ffn_w1", o["n1"], dhmid))
-    dq, dk, dv = _beside(lambda: _attention_backward(config, o, _linear_dx(dr1, w("attn_wo"))),
-                         linear_grads("attn_wo", o["ctx"], dr1))
-
-    def attention_input():
-        dx = _linear_dx(dq, w("attn_wq"))
-        dx += dr1  # residual around attention
-        dx += _linear_dx(dk, w("attn_wk"))
-        dx += _linear_dx(dv, w("attn_wv"))
-        return dx
-
-    return _beside(attention_input, *(
-        linear_grads("attn_w" + p, x, dy) for p, dy in (("q", dq), ("k", dk), ("v", dv))))
+def _embedding_backward(grads, ids, emb, gain, dh) -> None:
+    """Backpropagate ``dh`` through the embedding's layer norm ``emb`` with
+    gain ``gain`` into ``grads``, every row at once."""
+    de = _layernorm_dx(dh, emb["xhat"], emb["inv"], gain)
+    _add_layernorm_grads(grads, "emb_ln", dh, emb["xhat"])
+    np.add.at(grads["tok_emb"], ids, de)
+    grads["pos_emb"][: de.shape[1]] += de.sum(0)
 
 
 def backward_hidden(
@@ -504,21 +535,35 @@ def backward_hidden(
 ) -> None:
     """Backpropagate a gradient on hidden states into ``grads`` (accumulating).
 
-    Each product of the activation-gradient chain runs beside the weight
-    gradients of the step before it, the two as one run of ``_run_all``.
+    Each layer's activation-gradient chain runs as row shards, in one run of
+    ``_run_all`` with the sums over rows of the layer above it. As a layer's
+    chain ends, the activations only it reads leave ``cache``, which is
+    then spent.
     """
     config: ModelConfig = cache["config"]
-    ids = cache["ids"]
     stages = [cache["emb"], *cache["layers"]]
+    b, s, d = dh.shape
+    # every product of a shard's chain (output widths d_model and d_ff) must
+    # have more than _SMALL_PRODUCT_ELEMENTS outputs
+    positions = _SMALL_PRODUCT_ELEMENTS // min(d, config.d_ff) + 1
+    shards = _row_shards(b, -(-positions // s))
+    widths = {"dr2": d, "dhmid": config.d_ff, "dn1": d, "dr1": d,
+              "dq": d, "dk": d, "dv": d, "dx": d}
+    sums: list[Callable[[], None]] = []
     for i in reversed(range(config.n_layers)):
-        dh = _layer_backward(params, config, f"l{i}.", stages[i + 1], stages[i]["h"], dh, grads)
-
-    emb = stages[0]
-    de, dg, db = _layernorm_backward(dh, (emb["xhat"], emb["inv"], params["emb_ln_g"]))
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
-    np.add.at(grads["tok_emb"], ids, de)
-    grads["pos_emb"][: de.shape[1]] += de.sum(0)
+        pre, o = f"l{i}.", stages[i + 1]
+        g = {name: np.empty((b, s, width)) for name, width in widths.items()}
+        _run_all([
+            *(partial(_chain_rows, params, config, pre, {k: a[rows] for k, a in o.items()},
+                      dh[rows], {k: a[rows] for k, a in g.items()}) for rows in shards),
+            *sums,
+        ])
+        for name in _CHAIN_ONLY:
+            del o[name]
+        sums = _layer_sums(grads, pre, o, stages[i]["h"], dh, g)
+        dh = g["dx"]
+    _run_all([*sums, partial(_embedding_backward, grads, cache["ids"], stages[0],
+                             params["emb_ln_g"], dh)])
 
 
 # ---------------------------------------------------------------------------

@@ -225,16 +225,17 @@ def aggregate_values(values: Sequence[float]) -> MetricStats:
     """Mean, sample stdev, and a Student-t interval at level ``CONFIDENCE``.
 
     ``stdtrit`` is the inverse Student-t CDF behind ``scipy.stats.t.ppf``,
-    without the second of import that ``scipy.stats`` costs.
+    without the second of import that ``scipy.stats`` costs; a single value
+    has no interval and imports neither.
     """
-    from scipy.special import stdtrit
-
     n = len(values)
     if n == 0:
         raise ValidationError("cannot aggregate an empty list")
     mean = sum(values) / n
     if n == 1:
         return MetricStats(mean=mean)
+    from scipy.special import stdtrit
+
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     s = math.sqrt(var)
     t_crit = float(stdtrit(n - 1, 0.5 + CONFIDENCE / 2.0))

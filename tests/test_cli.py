@@ -706,6 +706,24 @@ class TestStartupImports:
         assert (tmp_path / "resized.ckpt").is_file()
         assert loaded[-1] == "False"
 
+    def test_one_report_per_group_aggregate_loads_no_scipy(self, tmp_path):
+        # one run has no interval, so no t critical value from scipy.special
+        groups = [f"{name}={write_report(tmp_path / f'{name}.json', ALL_LABELS)}"
+                  for name in ("base", "expanded")]
+        argv = ["phenotag", "aggregate", "--group", groups[0], "--group", groups[1],
+                "--out", str(tmp_path / "agg.tsv")]
+        loaded = self.run_python(
+            "import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('phenotag', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print('scipy' in sys.modules)"
+        )
+        assert (tmp_path / "agg.tsv").is_file()
+        assert loaded[-1] == "False"
+
     def test_data_commands_skip_encoder_and_scipy_stats(self, tmp_path):
         # aggregate's t critical value needs scipy.special, so numpy too
         loaded = self.run_python(

@@ -830,8 +830,10 @@ _SERIAL_DIGESTS = [
 
 
 class TestShardedTraining:
-    """A training step's forward runs as row shards and its backward beside
-    the weight gradients on a thread pool; checkpoints keep the serial bytes."""
+    """A training step's forward, and each layer's activation-gradient chain
+    in its backward, run as row shards on a thread pool; every sum over rows
+    (the weight and layer-norm gradients) runs whole, in the serial operands
+    and order. Checkpoints keep the serial bytes."""
 
     def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path):
         # Batches of 5, 7, 3 and 2 rows: odd counts, batches smaller than the
@@ -845,6 +847,53 @@ class TestShardedTraining:
         )
         assert proc.returncode == 0, proc.stderr
         assert [line.split() for line in proc.stdout.splitlines()] == [_SERIAL_DIGESTS] * 4
+
+    @pytest.mark.parametrize("dout, din", [(64, 64), (64, 256), (256, 64)])
+    def test_a_product_over_a_minimum_row_shard_gives_the_whole_rows(self, dout, din):
+        # the smallest slice above OpenBLAS's small-matrix kernel for this
+        # product's width, and the chain's minimum at the default widths
+        rng = np.random.default_rng(dout + din)
+        w = rng.normal(0.0, 0.02, (din, dout))
+        dy = rng.normal(size=(240, dout))
+        whole = model_module._linear_dx(dy, w)
+        chain = model_module._SMALL_PRODUCT_ELEMENTS // 64 + 1
+        assert chain == 19
+        for n in {model_module._SMALL_PRODUCT_ELEMENTS // din + 1, chain}:
+            for lo in (0, 1, 37, len(dy) - n):
+                part = model_module._linear_dx(dy[lo : lo + n], w)
+                assert np.array_equal(part, whole[lo : lo + n]), (n, lo)
+
+    @pytest.mark.parametrize("rows, positions, cut", [
+        (2, 18, [slice(0, 2)]),  # 1-row shards would have 18 positions
+        (2, 19, [slice(0, 1), slice(1, 2)]),
+        (3, 10, [slice(0, 3)]),  # 2-row shards of 20 positions: only one fits
+        (4, 10, [slice(0, 2), slice(2, 4)]),
+    ])
+    def test_the_backward_cuts_shards_of_at_least_19_positions(
+        self, pool_size, monkeypatch, rows, positions, cut
+    ):
+        real_shards = model_module._row_shards
+        backward_cuts = []
+
+        def recording_shards(n, *min_rows):  # only the backward passes min_rows
+            shards = real_shards(n, *min_rows)
+            if min_rows:
+                backward_cuts.append(shards)
+            return shards
+
+        monkeypatch.setattr(model_module, "_row_shards", recording_shards)
+        config = ModelConfig(vocab_size=2585)
+        rng = np.random.default_rng(rows * positions)
+        ids = rng.integers(5, config.vocab_size, (rows, positions))
+        mask = np.ones((rows, positions))
+        mask[0, positions - 2 :] = 0.0
+        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (rows, positions)), -1)
+        grads = []
+        for threads in (1, 2):
+            pool_size(threads)
+            grads.append(ner_loss_and_grads(init_params(config), config, ids, mask, tags)[2])
+        assert backward_cuts[-1] == cut
+        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
 
     def test_four_threads_switching_often_give_the_serial_steps(self, pool_size):
         # more threads than a 2-core machine has, trading the interpreter

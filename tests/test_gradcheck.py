@@ -55,15 +55,18 @@ class TestGradCheck:
 
 
 def test_one_row_shards_give_the_serial_gradients(monkeypatch):
-    # at pool size 2 the 2-row probe's forward runs as two 1-row shards
+    # At pool size 2 the 2-row probe's forward runs as two 1-row shards. Its
+    # backward runs one shard: a shard of this config's chain needs
+    # 1200 // 16 + 1 = 76 positions, and a row has 10.
     from phenotag.encoder import model
 
     real_shards = model._row_shards
-    cut, grads = [], {}
+    cut, backward_cut, grads = [], [], {}
 
-    def recording_shards(rows):
-        cut.append(real_shards(rows))
-        return cut[-1]
+    def recording_shards(rows, *min_rows):  # only the backward passes min_rows
+        cuts = backward_cut if min_rows else cut
+        cuts.append(real_shards(rows, *min_rows))
+        return cuts[-1]
 
     def first_grads(name, real):
         def record(*args):
@@ -80,6 +83,7 @@ def test_one_row_shards_give_the_serial_gradients(monkeypatch):
         monkeypatch.setattr(model, "_run_threads", lambda: workers)
         assert grad_check().max_rel_error <= 1e-4
     assert cut[-1] == [slice(0, 1), slice(1, 2)]
+    assert backward_cut[-1] == [slice(0, 2)]
     for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
         serial, sharded = grads[(1, name)], grads[(2, name)]
         assert all(np.array_equal(serial[k], sharded[k]) for k in serial)

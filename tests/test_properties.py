@@ -6,8 +6,10 @@ a matter of luck.
 """
 
 import json
+from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,12 @@ from phenotag.corpus import (
     split_sentences,
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from phenotag.encoder.model import (
+    forward_hidden,
+    init_params,
+    mlm_loss_and_grads,
+    ner_loss_and_grads,
+)
 from phenotag.errors import ParseError, PhenotagError
 from phenotag.evaluation import MODES, MatchReport, categorize_errors, match_spans, score
 from phenotag.synthesis import generate_synthetic
@@ -249,6 +257,52 @@ class TestErrorCategories:
             assert named == ["missing"] or set(named) == {"type_confusion"}, (g, named)
         for case in breakdown.cases["type_confusion"]:
             assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
+
+
+PAD_CONFIG = ModelConfig(vocab_size=len(VOCAB), max_positions=24)
+
+
+@cache
+def pad_params():
+    return init_params(PAD_CONFIG)
+
+
+@st.composite
+def padded_batches(draw):
+    """(ids, the same ids with others at the pads, mask): rows of real
+    positions followed by padding, at least one pad in the batch."""
+    rows, positions = draw(st.integers(1, 6)), draw(st.integers(3, 24))
+    lengths = draw(st.lists(st.integers(1, positions), min_size=rows, max_size=rows))
+    lengths[draw(st.integers(0, rows - 1))] = draw(st.integers(1, positions - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = (np.arange(positions) < np.array(lengths)[:, None]).astype(np.float64)
+    ids = rng.integers(0, len(VOCAB), (rows, positions))
+    other = np.where(mask > 0, ids, rng.integers(0, len(VOCAB), (rows, positions)))
+    return ids, other, mask
+
+
+class TestPadInvariance:
+    """Masked keys get probability exactly 0, so the ids at padded positions
+    change no real position's hidden state and no gradient, bit for bit.
+    The forward relies on it to skip the GELU's normal CDF at the pads."""
+
+    @settings(DETERMINISTIC, max_examples=60)
+    @given(padded_batches())
+    def test_pad_ids_change_no_real_hidden_state_and_no_gradient(self, batch):
+        ids, other, mask = batch
+        params, real = pad_params(), mask > 0
+        tags = np.where(real, ids % PAD_CONFIG.n_tags, -1)
+        pos_b, pos_s = np.nonzero(real)
+        runs = []
+        for x in (ids, other):
+            h, _ = forward_hidden(params, PAD_CONFIG, x, mask, keep_cache=False)
+            _, _, ner = ner_loss_and_grads(params, PAD_CONFIG, x, mask, tags)
+            _, _, mlm = mlm_loss_and_grads(params, PAD_CONFIG, x, mask, pos_b, pos_s, ids[real])
+            runs.append((h[real], ner, mlm))
+        (h, ner, mlm), (h2, ner2, mlm2) = runs
+        assert np.array_equal(h, h2)
+        for grads, grads2 in ((ner, ner2), (mlm, mlm2)):
+            assert all(np.array_equal(grads[k], grads2[k]) for k in grads)
 
 
 class TestSpanOrder:
