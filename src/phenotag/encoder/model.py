@@ -485,9 +485,9 @@ def _attention_backward(config, o, dctx, out):
 
 
 def _chain_rows(params, config, pre, o, dh, g) -> None:
-    """Backpropagate ``dh`` through one layer's activations ``o``, row by row:
-    writes the gradients on them, and in ``g["dx"]`` that on the layer's
-    input, to the arrays of ``g``. Every argument array covers the same rows."""
+    """Backpropagate ``dh`` through one layer, row by row: writes the
+    gradients on its activations ``o`` into the arrays of ``g``, and that on
+    its input into ``g["dx"]``. Every array covers the same rows."""
 
     def w(name):
         return params[pre + name]

@@ -16,9 +16,9 @@ from phenotag.encoder import (
 from phenotag.encoder.model import (
     _INV_SQRT_2PI,
     LN_EPS,
+    _add_layernorm_grads,
     _gelu,
     _gelu_backward,
-    _add_layernorm_grads,
     _layernorm,
     _layernorm_dx,
     _softmax_backward,
