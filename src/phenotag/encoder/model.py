@@ -9,9 +9,12 @@ norm. The masked-LM decoder is weight-tied to the token embedding matrix
 plus a per-token output bias. A linear head over hidden states produces tag
 logits for token classification.
 
-All parameters live in a flat ``dict[str, np.ndarray]``. The public functions
-never mutate their inputs, but ``backward_hidden`` adds into the gradients it
-is given and spends the cache. The private kernels work in place
+All parameters live in a flat ``dict[str, np.ndarray]``. ``zero_grads`` lays
+out gradients as views of one flat buffer, in the dict's order, and the
+optimizer lays the parameters it trains out the same way, so an Adam step
+runs over one buffer of each. The public functions never mutate their
+inputs, but ``backward_hidden`` adds into the gradients it is given and
+spends the cache. The private kernels work in place
 on temporaries they allocated themselves, in the operation order of the
 plain expressions, so results are bitwise the same with fewer allocations.
 
@@ -33,13 +36,20 @@ of at most 1,200 output elements differently (it switches to a small-matrix
 kernel), so the chain is cut only where every shard's products are larger,
 and otherwise runs as one call. What sums over rows stays whole: each weight's
 and each layer norm's gradient is one call in the serial operands and order,
-run with the chain shards of the layer below. The loss heads run on the
-calling thread, and the cache-free forward never calls the runner, so
-prediction's calls on the pool never wait on it.
+run with the chain shards of the layer below. Threads take a run's calls in
+list order, so a run lists its longest call first: the embedding's backward
+leads the last run. The loss heads run on the calling thread, and the
+cache-free forward never calls the runner, so prediction's calls on the pool
+never wait on it.
 
 Masked keys get attention probability exactly 0, so no real position reads a
 pad's activations, and a pad's gradients are exactly 0. The forward therefore
 computes the GELU's normal CDF, its costliest kernel, only at real positions.
+In the last layer it computes it only where the caller reads the hidden
+state (the masked positions of pre-training, the tagged ones of
+fine-tuning): a position the loss does not read reaches nothing after the
+last layer, its gradient there is exactly ±0, so its activation and CDF meet
+only ±0 in the GELU's backward and in the weight gradients' sums.
 
 Importing this module holds numpy's OpenBLAS at one thread for the process,
 so a product's bytes never follow the caller's thread settings, and sets
@@ -138,7 +148,22 @@ def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
 
 
 def zero_grads(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+    """Zeroed float64 arrays shaped as ``params``' tensors, in their order:
+    the one layout of a flat buffer, of which each array is a view."""
+    flat = np.zeros(sum(p.size for p in params.values()))
+    views, lo = {}, 0
+    for name, p in params.items():
+        views[name] = flat[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
+    return views
+
+
+def _flat_buffer(views: dict[str, np.ndarray]) -> np.ndarray:
+    """The buffer that ``zero_grads`` made ``views`` as views of."""
+    flat = next(iter(views.values())).base
+    if flat is None or any(a.base is not flat for a in views.values()):
+        raise ValueError("the arrays are not views of one flat buffer")
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +338,12 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 def _run_all(calls: list[Callable[[], object]]) -> list:
     """Run the calls on the calling thread and up to ``_run_threads() - 1``
     pool threads, each taking the next call that none has taken; returns the
-    results in call order. After a call raises no call starts, and once the
-    running ones end the first exception, the calling thread's before the
-    pool's, propagates unchanged. A call must never call ``_run_all``: the
-    pool's threads could all wait on one another."""
+    results in call order. Threads take calls in list order, so a run lists
+    its longest call first, lest one thread end the run with it while the
+    others idle. After a call raises no call starts, and once the running
+    ones end the first exception, the calling thread's before the pool's,
+    propagates unchanged. A call must never call ``_run_all``: the pool's
+    threads could all wait on one another."""
     results: list = [None] * len(calls)
     # One iterator for every thread: a next() on it is one C call that runs
     # under the GIL, so no two threads take the same call.
@@ -378,10 +405,13 @@ def _forward_rows(
     config: ModelConfig,
     ids: np.ndarray,
     mask: np.ndarray,
+    read: np.ndarray | None,
     stages: Iterator[dict[str, np.ndarray]],
 ) -> np.ndarray:
     """The encoder over the rows ``ids``: the embedding, then each layer,
-    writes its activations into the next dict of ``stages``. Returns h."""
+    writes its activations into the next dict of ``stages``. Returns h, which
+    the last layer computes only at the positions ``read`` (at every real
+    one if it is None)."""
     s = ids.shape[1]
     o = next(stages)
     e = params["tok_emb"][ids]
@@ -395,6 +425,11 @@ def _forward_rows(
         real = key_bias = None
     else:
         key_bias = (mask[:, None, None, :] - 1.0) * _NEG_BIG
+    # What the caller reads never depends on a pad's GELU output, nor on the
+    # last layer's outside ``read``.
+    cdf_at = [real] * config.n_layers
+    if read is not None and cdf_at:
+        cdf_at[-1] = None if read.all() else read
     scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
     for i, o in zip(range(config.n_layers), stages):
         pre = f"l{i}."
@@ -414,7 +449,7 @@ def _forward_rows(
         n1, _ = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"],
                            (o["n1"], o["xhat1"], o["inv1"]))
         hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"], o["hmid"])
-        act, _ = _gelu(hmid, (o["act"], o["cdf"]), real)
+        act, _ = _gelu(hmid, (o["act"], o["cdf"]), cdf_at[i])
         f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         f += n1  # residual
         h, _ = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"],
@@ -429,12 +464,15 @@ def forward_hidden(
     mask: np.ndarray,
     *,
     keep_cache: bool = True,
+    read: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Run the encoder: hidden states [B, S, d] and, if kept, a backward cache.
 
-    With the cache, row shards run on the pool into whole-batch arrays.
-    Without it, the calling thread runs every row, and a layer's arrays are
-    dropped as the next layer replaces them.
+    ``read``, a boolean [B, S] mask, marks the positions whose hidden state
+    the caller reads, every real one by default; elsewhere the returned h is
+    not the encoder's. With the cache, row shards run on the pool into
+    whole-batch arrays. Without it, the calling thread runs every row, and a
+    layer's arrays are dropped as the next layer replaces them.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -444,10 +482,12 @@ def forward_hidden(
             f"sequence length {s} exceeds max_positions {config.max_positions}"
         )
     if not keep_cache:
-        return _forward_rows(params, config, ids, mask, _stage_arrays(config, b, s)), None
+        h = _forward_rows(params, config, ids, mask, read, _stage_arrays(config, b, s))
+        return h, None
     stages = list(_stage_arrays(config, b, s))
     _run_all([
         partial(_forward_rows, params, config, ids[rows], mask[rows],
+                None if read is None else read[rows],
                 iter([{name: a[rows] for name, a in o.items()} for o in stages]))
         for rows in _row_shards(b)
     ])
@@ -536,9 +576,10 @@ def backward_hidden(
     """Backpropagate a gradient on hidden states into ``grads`` (accumulating).
 
     Each layer's activation-gradient chain runs as row shards, in one run of
-    ``_run_all`` with the sums over rows of the layer above it. As a layer's
-    chain ends, the activations only it reads leave ``cache``, which is
-    then spent.
+    ``_run_all`` with the sums over rows of the layer above it; the last run
+    is the embedding's backward, the longest call, then the first layer's
+    sums. As a layer's chain ends, the activations only it reads leave
+    ``cache``, which is then spent.
     """
     config: ModelConfig = cache["config"]
     stages = [cache["emb"], *cache["layers"]]
@@ -562,8 +603,8 @@ def backward_hidden(
             del o[name]
         sums = _layer_sums(grads, pre, o, stages[i]["h"], dh, g)
         dh = g["dx"]
-    _run_all([*sums, partial(_embedding_backward, grads, cache["ids"], stages[0],
-                             params["emb_ln_g"], dh)])
+    _run_all([partial(_embedding_backward, grads, cache["ids"], stages[0],
+                      params["emb_ln_g"], dh), *sums])
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +644,9 @@ def mlm_loss_and_grads(
     """
     if len(labels) == 0:
         raise ConfigurationError("no masked positions: nothing to supervise")
-    h, cache = forward_hidden(params, config, ids, mask)
+    read = np.zeros(np.shape(ids), dtype=bool)
+    read[pos_b, pos_s] = True
+    h, cache = forward_hidden(params, config, ids, mask, read=read)
     hm = h[pos_b, pos_s]
     logits = _affine(hm, params["tok_emb"].T, params["mlm_bias"])
     loss, acc, dlogits = _softmax_xent(logits, labels)
@@ -628,7 +671,7 @@ def ner_loss_and_grads(
     sel = tag_ids >= 0
     if not sel.any():
         raise ConfigurationError("no supervised token positions in batch")
-    h, cache = forward_hidden(params, config, ids, mask)
+    h, cache = forward_hidden(params, config, ids, mask, read=sel)
     hs = h[sel]
     logits = _affine(hs, params["ner_w"], params["ner_b"])
     loss, acc, dlogits = _softmax_xent(logits, tag_ids[sel])

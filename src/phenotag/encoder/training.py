@@ -52,15 +52,22 @@ def _check_mask_frac(mask_frac: float) -> None:
 class Adam:
     """Adam with bias correction over a flat parameter dict.
 
-    The moments are flat arrays over the tensors in the dict's order. A step
-    concatenates the gradients in that order, updates contiguous shares of
-    them on the encoder's pool (an element's update does not depend on its
-    share), then subtracts each tensor's slice of the update.
+    Parameters and gradients each live in one flat buffer, laid out by
+    ``model.zero_grads`` over the tensors in the dict's order: building the
+    optimizer moves the dict's tensors into views of one buffer, and a step
+    takes gradients made by ``zero_grads``. The moments are flat arrays in the
+    same layout. A step updates contiguous shares of the buffers on the
+    encoder's pool, each share its moments and then its parameters (an
+    element's update does not depend on its share).
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = lr
-        self.m = np.zeros(sum(p.size for p in params.values()))
+        views = model.zero_grads(params)
+        for name, p in params.items():
+            views[name][...] = p
+        params.update(views)
+        self.m = np.zeros_like(model._flat_buffer(params))
         self.v = np.zeros_like(self.m)
         self.t = 0
 
@@ -68,32 +75,28 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t
         bc2 = 1.0 - _BETA2**self.t
-        g = np.concatenate([grads[k].ravel() for k in params])
-        upd = np.empty_like(g)
+        p, g = model._flat_buffer(params), model._flat_buffer(grads)
 
         def update(r: slice) -> None:
             # In place, in the operation order of
             #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
             #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-            m, v, gr, u = self.m[r], self.v[r], g[r], upd[r]
+            m, v, gr = self.m[r], self.v[r], g[r]
             m *= _BETA1
             m += (1.0 - _BETA1) * gr
             v *= _BETA2
             gg = (1.0 - _BETA2) * gr
             gg *= gr
             v += gg
-            np.divide(m, bc1, out=u)
+            u = np.divide(m, bc1)
             u *= self.lr
             den = np.divide(v, bc2, out=gg)
             np.sqrt(den, out=den)
             den += _EPS
             u /= den
+            p[r] -= u
 
         model._run_all([partial(update, r) for r in model._row_shards(len(g))])
-        lo = 0
-        for p in params.values():
-            p -= upd[lo : lo + p.size].reshape(p.shape)
-            lo += p.size
 
 
 def _bracket(seq: Sequence[int], first: int, last: int, max_positions: int) -> list[int]:

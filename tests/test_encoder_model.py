@@ -26,6 +26,7 @@ from phenotag.encoder.model import (
     forward_hidden,
     init_params,
     tag_logits,
+    zero_grads,
 )
 from phenotag.errors import ConfigurationError, ParseError, ValidationError
 from phenotag.tokenizer import UNK, wordpiece
@@ -205,7 +206,10 @@ class TestKernelsMatchPlainExpressions:
         for t in range(1, 6):
             grads = {k: mixed_normal(rng, *p.shape) for k, p in params.items()}
             grads["w"][2] = 0.0
-            adam.step(params, {k: g.copy() for k, g in grads.items()})
+            flat = zero_grads(params)  # a step takes gradients in the flat layout
+            for k, g in grads.items():
+                flat[k][...] = g
+            adam.step(params, flat)
             bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for k, g in grads.items():
                 m[k] = 0.9 * m[k] + (1.0 - 0.9) * g

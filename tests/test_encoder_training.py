@@ -41,7 +41,12 @@ from phenotag.encoder import (
 )
 from phenotag.encoder import model as model_module
 from phenotag.encoder import training
-from phenotag.encoder.model import init_params, ner_loss_and_grads, tag_logits
+from phenotag.encoder.model import (
+    init_params,
+    mlm_loss_and_grads,
+    ner_loss_and_grads,
+    tag_logits,
+)
 from phenotag.errors import ConfigurationError, TrainingError, ValidationError
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import Vocabulary, tokenize
@@ -894,6 +899,43 @@ class TestShardedTraining:
             grads.append(ner_loss_and_grads(init_params(config), config, ids, mask, tags)[2])
         assert backward_cuts[-1] == cut
         assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+
+    def test_the_order_of_a_runs_calls_changes_no_bit(self, pool_size, monkeypatch):
+        # A run's calls write disjoint arrays: a runner that takes them one
+        # after another in reverse order gives the pool's bits, whatever
+        # order a run lists them in.
+        config = ModelConfig(vocab_size=2585)
+        rng = np.random.default_rng(11)
+        ids = rng.integers(5, config.vocab_size, (6, 30))
+        mask = (np.arange(30) < rng.integers(10, 31, (6, 1))).astype(np.float64)
+        tags = np.where(mask > 0, rng.integers(-1, config.n_tags, (6, 30)), -1)
+        pos_b, pos_s = np.nonzero((mask > 0) & (rng.random((6, 30)) < 0.15))
+
+        def steps():
+            params = init_params(config)
+            adam = Adam(params, 1e-3)
+            out = []
+            for loss_fn, args in ((mlm_loss_and_grads, (pos_b, pos_s, ids[pos_b, pos_s])),
+                                  (ner_loss_and_grads, (tags,))):
+                loss, _, grads = loss_fn(params, config, ids, mask, *args)
+                adam.step(params, grads)
+                out.append((loss, grads))
+            return out, params
+
+        def reversed_run_all(calls):
+            results = [None] * len(calls)
+            for i in reversed(range(len(calls))):
+                results[i] = calls[i]()
+            return results
+
+        pool_size(3)  # three shards of two rows in every run that cuts rows
+        pooled = steps()
+        monkeypatch.setattr(model_module, "_run_all", reversed_run_all)
+        (serial_steps, serial_params), (pooled_steps, pooled_params) = steps(), pooled
+        for (loss, grads), (loss2, grads2) in zip(serial_steps, pooled_steps):
+            assert loss == loss2
+            assert all(np.array_equal(grads[k], grads2[k]) for k in grads)
+        assert all(np.array_equal(serial_params[k], pooled_params[k]) for k in serial_params)
 
     def test_four_threads_switching_often_give_the_serial_steps(self, pool_size):
         # more threads than a 2-core machine has, trading the interpreter

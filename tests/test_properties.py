@@ -8,6 +8,7 @@ a matter of luck.
 import json
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,16 +17,19 @@ from hypothesis import strategies as st
 
 from phenotag.basevocab import default_vocabulary
 from phenotag.corpus import (
+    IGNORE_ID,
     LABELS,
     Document,
     EntitySpan,
     decode_bio,
     encode_bio,
     load_corpus,
+    pair_documents,
     save_corpus,
     split_sentences,
 )
 from phenotag.encoder import ModelConfig, init_model, load_checkpoint, save_checkpoint
+from phenotag.encoder import model as model_module
 from phenotag.encoder.model import (
     forward_hidden,
     init_params,
@@ -33,7 +37,15 @@ from phenotag.encoder.model import (
     ner_loss_and_grads,
 )
 from phenotag.errors import ParseError, PhenotagError
-from phenotag.evaluation import MODES, MatchReport, categorize_errors, match_spans, score
+from phenotag.evaluation import (
+    MODES,
+    ErrorBreakdown,
+    ErrorCase,
+    MatchReport,
+    categorize_errors,
+    match_spans,
+    score,
+)
 from phenotag.synthesis import generate_synthetic
 from phenotag.tokenizer import (
     CONTINUATION_MARKER,
@@ -259,6 +271,59 @@ class TestErrorCategories:
             assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
 
 
+def reference_categorize_errors(gold_docs, pred_docs):
+    """``categorize_errors`` as it was written first: every unmatched span
+    scans every span of the other side."""
+    out = ErrorBreakdown()
+    for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
+        doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
+        pairs = match_spans(gold, pred, "lenient").pairs
+        matched_gold = {id(g) for g, _ in pairs}
+        matched_pred = {id(p) for _, p in pairs}
+        for g, p in pairs:
+            if (g.start_char, g.end_char) != (p.start_char, p.end_char):
+                out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
+        confusions = set()
+        for g in gold:
+            if id(g) in matched_gold:
+                continue
+            confused = next((p for p in pred if p.overlaps(g) and p.label != g.label), None)
+            category = "missing" if confused is None else "type_confusion"
+            out.cases[category].append(ErrorCase(doc_id, g, confused))
+            confusions.add((g, confused))
+        for p in pred:
+            if id(p) in matched_pred:
+                continue
+            overlapped = [g for g in gold if g.overlaps(p)]
+            same = next((g for g in overlapped if g.label == p.label), None)
+            if same is not None:
+                out.cases["split"].append(ErrorCase(doc_id, same, p))
+            elif not overlapped:
+                out.cases["spurious"].append(ErrorCase(doc_id, None, p))
+            elif (overlapped[0], p) not in confusions:
+                out.cases["type_confusion"].append(ErrorCase(doc_id, overlapped[0], p))
+    return out
+
+
+# spans of very different lengths, so that a short one sits inside a long one
+wide_spans = st.builds(
+    lambda start, width, label: EntitySpan(start, start + width, label),
+    st.integers(0, 30), st.integers(1, 25), st.sampled_from(LABELS),
+)
+
+
+class TestErrorRows:
+    @settings(DETERMINISTIC, max_examples=300)
+    @given(st.lists(st.tuples(st.lists(wide_spans, max_size=12, unique=True),
+                              st.lists(wide_spans, max_size=12, unique=True)), max_size=3))
+    def test_rows_equal_the_nested_scan(self, docs):
+        text = "x" * 60
+        gold = [Document(f"d{i}", text, g) for i, (g, _) in enumerate(docs)]
+        pred = [Document(f"d{i}", text, p) for i, (_, p) in enumerate(docs)]
+        # every category's rows, in the same order: errors.tsv keeps its bytes
+        assert categorize_errors(gold, pred).cases == reference_categorize_errors(gold, pred).cases
+
+
 PAD_CONFIG = ModelConfig(vocab_size=len(VOCAB), max_positions=24)
 
 
@@ -284,7 +349,9 @@ def padded_batches(draw):
 class TestPadInvariance:
     """Masked keys get probability exactly 0, so the ids at padded positions
     change no real position's hidden state and no gradient, bit for bit.
-    The forward relies on it to skip the GELU's normal CDF at the pads."""
+    The forward relies on it to skip the GELU's normal CDF at the pads, and
+    the losses, whose gradient is exactly 0 on every hidden state they do not
+    read, to skip it in the last layer at those positions too."""
 
     @settings(DETERMINISTIC, max_examples=60)
     @given(padded_batches())
@@ -303,6 +370,35 @@ class TestPadInvariance:
         assert np.array_equal(h, h2)
         for grads, grads2 in ((ner, ner2), (mlm, mlm2)):
             assert all(np.array_equal(grads[k], grads2[k]) for k in grads)
+
+    @settings(DETERMINISTIC, max_examples=60)
+    @given(padded_batches(), st.integers(0, 2**32 - 1))
+    def test_the_last_layer_cdf_only_where_the_loss_reads_changes_no_bit(self, batch, seed):
+        ids, _, mask = batch
+        params, real = pad_params(), mask > 0
+        rng = np.random.default_rng(seed)
+        # some real positions carry no tag or are left unmasked; (0, 0) is
+        # real in every row set, so each loss reads one position at least
+        tagged, masked = (real & (rng.random(real.shape) < share) for share in (0.6, 0.3))
+        tagged[0, 0] = masked[0, 0] = True
+        tags = np.where(tagged, ids % PAD_CONFIG.n_tags, IGNORE_ID)
+        pos_b, pos_s = np.nonzero(masked)
+
+        def every_real(*args, read=None, **kwargs):  # the CDF at every real position
+            return forward_hidden(*args, **kwargs)
+
+        runs = []
+        for forward in (forward_hidden, every_real):
+            with mock.patch.object(model_module, "forward_hidden", forward):
+                runs.append((
+                    ner_loss_and_grads(params, PAD_CONFIG, ids, mask, tags),
+                    mlm_loss_and_grads(params, PAD_CONFIG, ids, mask, pos_b, pos_s, ids[masked]),
+                ))
+        for (loss, acc, grads), (loss2, acc2, grads2) in zip(*runs):
+            assert (loss, acc) == (loss2, acc2)
+            assert all(np.array_equal(grads[k], grads2[k]) for k in grads)
+        h = forward_hidden(params, PAD_CONFIG, ids, mask, read=tagged)[0]
+        assert np.array_equal(h[tagged], forward_hidden(params, PAD_CONFIG, ids, mask)[0][tagged])
 
 
 class TestSpanOrder:
