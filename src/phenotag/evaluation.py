@@ -10,9 +10,8 @@ prediction can never consume several gold spans.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Document, EntityLabel, EntitySpan, LABELS, pair_documents
 from .errors import ValidationError
@@ -350,31 +349,6 @@ class ErrorBreakdown:
         return {name: len(cases) for name, cases in self.cases.items()}
 
 
-def _overlaps(spans: Sequence[EntitySpan]) -> Callable[[EntitySpan], list[EntitySpan]]:
-    """A function from a span to the ``spans`` that overlap it, in their order.
-
-    Most unmatched spans overlap nothing, so it first bisects the union of
-    ``spans``, kept as sorted disjoint intervals, and scans ``spans`` only
-    for a span that meets the union.
-    """
-    starts: list[int] = []
-    ends: list[int] = []
-    for start, end in sorted((s.start_char, s.end_char) for s in spans):
-        if ends and start <= ends[-1]:
-            ends[-1] = max(ends[-1], end)
-        else:
-            starts.append(start)
-            ends.append(end)
-
-    def overlapping(span: EntitySpan) -> list[EntitySpan]:
-        i = bisect_left(starts, span.end_char) - 1  # the last to start before its end
-        if i < 0 or ends[i] <= span.start_char:
-            return []
-        return [s for s in spans if s.overlaps(span)]
-
-    return overlapping
-
-
 def categorize_errors(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> ErrorBreakdown:
@@ -387,24 +361,28 @@ def categorize_errors(
     for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
         doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
         pairs = match_spans(gold, pred, "lenient").pairs
-        gold_over, pred_over = _overlaps(gold), _overlaps(pred)
         matched_gold = {id(g) for g, _ in pairs}
         matched_pred = {id(p) for _, p in pairs}
         for g, p in pairs:
             if (g.start_char, g.end_char) != (p.start_char, p.end_char):
                 out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
         confusions = set()
+        # the scans test EntitySpan.overlaps inline: a method call per pair
+        # took a third of the time on many unmatched predictions
         for g in gold:
             if id(g) in matched_gold:
                 continue
-            confused = next((p for p in pred_over(g) if p.label != g.label), None)
+            start, end = g.start_char, g.end_char
+            confused = next((p for p in pred if p.start_char < end and start < p.end_char
+                             and p.label != g.label), None)
             category = "missing" if confused is None else "type_confusion"
             out.cases[category].append(ErrorCase(doc_id, g, confused))
             confusions.add((g, confused))
         for p in pred:
             if id(p) in matched_pred:
                 continue
-            overlapped = gold_over(p)
+            start, end = p.start_char, p.end_char
+            overlapped = [g for g in gold if g.start_char < end and start < g.end_char]
             if not overlapped:
                 out.cases["spurious"].append(ErrorCase(doc_id, None, p))
                 continue
