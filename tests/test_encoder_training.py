@@ -929,9 +929,9 @@ class TestShardedTraining:
             return results
 
         pool_size(3)  # three shards of two rows in every run that cuts rows
-        pooled = steps()
+        pooled_steps, pooled_params = steps()
         monkeypatch.setattr(model_module, "_run_all", reversed_run_all)
-        (serial_steps, serial_params), (pooled_steps, pooled_params) = steps(), pooled
+        serial_steps, serial_params = steps()
         for (loss, grads), (loss2, grads2) in zip(serial_steps, pooled_steps):
             assert loss == loss2
             assert all(np.array_equal(grads[k], grads2[k]) for k in grads)

@@ -233,47 +233,9 @@ class TestScore:
         assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
 
 
-class TestErrorCategories:
-    @DETERMINISTIC
-    @given(st.lists(spans, max_size=12, unique=True),
-           st.lists(spans, max_size=12, unique=True))
-    def test_each_unmatched_same_label_overlap_is_one_split_row(self, gold, pred):
-        text = "x" * 40
-        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
-        matched = {id(p) for _, p in match_spans(gold, pred, "lenient").pairs}
-        fragments = [p for p in pred if id(p) not in matched
-                     and any(g.label == p.label and g.overlaps(p) for g in gold)]
-        split = breakdown.cases["split"]
-        assert sorted(case.pred for case in split) == sorted(fragments)
-        for case in split:
-            assert case.gold in gold
-            assert case.gold.label == case.pred.label and case.gold.overlaps(case.pred)
-
-
-    @DETERMINISTIC
-    @given(st.lists(spans, max_size=12, unique=True),
-           st.lists(spans, max_size=12, unique=True))
-    def test_every_lenient_error_is_named(self, gold, pred):
-        text = "x" * 40
-        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
-        pairs = match_spans(gold, pred, "lenient").pairs
-        matched_gold, matched_pred = {g for g, _ in pairs}, {p for _, p in pairs}
-        rows = [(name, case) for name, cases in breakdown.cases.items() for case in cases]
-        for p in set(pred) - matched_pred:
-            assert any(case.pred == p for name, case in rows
-                       if name in ("spurious", "split", "type_confusion")), p
-        for g in set(gold) - matched_gold:
-            named = [name for name, case in rows
-                     if name in ("missing", "type_confusion") and case.gold == g]
-            # one missing row, or one row per prediction confused with it
-            assert named == ["missing"] or set(named) == {"type_confusion"}, (g, named)
-        for case in breakdown.cases["type_confusion"]:
-            assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
-
-
 def reference_categorize_errors(gold_docs, pred_docs):
-    """``categorize_errors`` as it was written first: every unmatched span
-    scans every span of the other side."""
+    """``categorize_errors`` before its scans were reordered and inlined: the
+    reference for the rows and their order."""
     out = ErrorBreakdown()
     for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
         doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
@@ -312,7 +274,22 @@ wide_spans = st.builds(
 )
 
 
-class TestErrorRows:
+class TestErrorCategories:
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12, unique=True),
+           st.lists(spans, max_size=12, unique=True))
+    def test_each_unmatched_same_label_overlap_is_one_split_row(self, gold, pred):
+        text = "x" * 40
+        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
+        matched = {id(p) for _, p in match_spans(gold, pred, "lenient").pairs}
+        fragments = [p for p in pred if id(p) not in matched
+                     and any(g.label == p.label and g.overlaps(p) for g in gold)]
+        split = breakdown.cases["split"]
+        assert sorted(case.pred for case in split) == sorted(fragments)
+        for case in split:
+            assert case.gold in gold
+            assert case.gold.label == case.pred.label and case.gold.overlaps(case.pred)
+
     @settings(DETERMINISTIC, max_examples=300)
     @given(st.lists(st.tuples(st.lists(wide_spans, max_size=12, unique=True),
                               st.lists(wide_spans, max_size=12, unique=True)), max_size=3))
@@ -322,6 +299,26 @@ class TestErrorRows:
         pred = [Document(f"d{i}", text, p) for i, (_, p) in enumerate(docs)]
         # every category's rows, in the same order: errors.tsv keeps its bytes
         assert categorize_errors(gold, pred).cases == reference_categorize_errors(gold, pred).cases
+
+    @DETERMINISTIC
+    @given(st.lists(spans, max_size=12, unique=True),
+           st.lists(spans, max_size=12, unique=True))
+    def test_every_lenient_error_is_named(self, gold, pred):
+        text = "x" * 40
+        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
+        pairs = match_spans(gold, pred, "lenient").pairs
+        matched_gold, matched_pred = {g for g, _ in pairs}, {p for _, p in pairs}
+        rows = [(name, case) for name, cases in breakdown.cases.items() for case in cases]
+        for p in set(pred) - matched_pred:
+            assert any(case.pred == p for name, case in rows
+                       if name in ("spurious", "split", "type_confusion")), p
+        for g in set(gold) - matched_gold:
+            named = [name for name, case in rows
+                     if name in ("missing", "type_confusion") and case.gold == g]
+            # one missing row, or one row per prediction confused with it
+            assert named == ["missing"] or set(named) == {"type_confusion"}, (g, named)
+        for case in breakdown.cases["type_confusion"]:
+            assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
 
 
 PAD_CONFIG = ModelConfig(vocab_size=len(VOCAB), max_positions=24)
