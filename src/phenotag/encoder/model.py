@@ -23,24 +23,21 @@ keeps no backward cache, so a call never holds every layer's activations.
 
 Training and prediction share one thread pool and one runner, ``_run_all``, on
 the CPUs that other processes leave free. A training step gives the bits of a
-serial step at any thread count. The forward with a cache cuts the padded
-batch into one row slice per thread, never re-padded, and runs the slices as
-calls, each writing its rows of whole-batch arrays. Every forward kernel
-computes a row from that row alone (numpy calls BLAS once per row for the 3-D
-products, and once per row and head in attention), so a slice writes the bits
-the whole batch would. The backward cuts each layer's activation-gradient
-chain (the layer-norm, GELU and attention gradients and the products
-``dy @ w.T`` between them) into row shards the same way. A shard flattens its
-rows into one 2-D product per weight, and OpenBLAS rounds a row of a product
-of at most 1,200 output elements differently (it switches to a small-matrix
-kernel), so the chain is cut only where every shard's products are larger,
-and otherwise runs as one call. What sums over rows stays whole: each weight's
-and each layer norm's gradient is one call in the serial operands and order,
-run with the chain shards of the layer below. Threads take a run's calls in
-list order, so a run lists its longest call first: the embedding's backward
-leads the last run. The loss heads run on the calling thread, and the
-cache-free forward never calls the runner, so prediction's calls on the pool
-never wait on it.
+serial step at any thread count by one rule: every product is per batch row
+(numpy calls BLAS once per row for a 3-D product, and once per row and head in
+attention), so on any BLAS kernel a row slice computes the bits the whole
+batch would (checked under OpenBLAS's ``SkylakeX``, ``Haswell`` and
+``Sandybridge`` kernels). The forward with a cache cuts the padded batch into
+one row slice per thread, never re-padded, and runs the slices as calls, each
+writing its rows of whole-batch arrays. The backward cuts each layer's
+activation-gradient chain (the layer-norm, GELU and attention gradients and
+the products ``dy @ w.T`` between them) into the same slices. What sums over
+rows stays whole: each weight's and each layer norm's gradient is one call in
+the serial operands and order, run with the chain shards of the layer below.
+Threads take a run's calls in list order, so a run lists its longest call
+first: the embedding's backward leads the last run. The loss heads run on the
+calling thread, and the cache-free forward never calls the runner, so
+prediction's calls on the pool never wait on it.
 
 Masked keys get attention probability exactly 0, so no real position reads a
 pad's activations, and a pad's gradients are exactly 0. The forward therefore
@@ -262,13 +259,8 @@ def _affine(x, w, b, out=None):
 
 
 def _linear_dx(dy, w, out=None):
-    """dx = dy @ w.T for y = x @ w + b, over the rows flattened to 2-D; ``out``
-    must be C-contiguous."""
-    din, dout = w.shape
-    if out is None:
-        out = np.empty(dy.shape[:-1] + (din,))
-    np.matmul(dy.reshape(-1, dout), w.T, out=out.reshape(-1, din))
-    return out
+    """dx = dy @ w.T for y = x @ w + b, one product per batch row."""
+    return np.matmul(dy, w.T, out=out)
 
 
 def _add_linear_grads(grads, w, b, x, dy):
@@ -375,10 +367,10 @@ def _run_all(calls: list[Callable[[], object]]) -> list:
     return results
 
 
-def _row_shards(rows: int, min_rows: int = 1) -> list[slice]:
-    """``rows`` cut into one contiguous slice per thread of a run, or fewer
-    so that each has at least ``min_rows`` rows."""
-    n = max(1, min(_run_threads(), rows // min_rows))
+def _row_shards(rows: int) -> list[slice]:
+    """``rows`` cut into one contiguous slice per thread of a run, or one per
+    row if there are fewer rows."""
+    n = max(1, min(_run_threads(), rows))
     cuts = [rows * i // n for i in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -495,14 +487,6 @@ def forward_hidden(
     return stages[-1]["h"], cache
 
 
-# OpenBLAS (0.3.31, x86-64) runs a double product of at most this many output
-# elements on its small-matrix kernel, which rounds a row differently from the
-# kernel of a larger product. Measured for output widths 8 to 256 and inner
-# widths 32 to 256 (at 8 and 16 only 1-row products differ): row slices of
-# dy @ w.T equal the whole product's rows from 19 rows at width 64 and from 5
-# at width 256.
-_SMALL_PRODUCT_ELEMENTS = 1200
-
 # what only a layer's activation-gradient chain reads of its activations
 _CHAIN_ONLY = ("q", "k", "v", "probs", "hmid", "cdf", "inv1", "inv2")
 
@@ -584,10 +568,7 @@ def backward_hidden(
     config: ModelConfig = cache["config"]
     stages = [cache["emb"], *cache["layers"]]
     b, s, d = dh.shape
-    # every product of a shard's chain (output widths d_model and d_ff) must
-    # have more than _SMALL_PRODUCT_ELEMENTS outputs
-    positions = _SMALL_PRODUCT_ELEMENTS // min(d, config.d_ff) + 1
-    shards = _row_shards(b, -(-positions // s))
+    shards = _row_shards(b)
     widths = {"dr2": d, "dhmid": config.d_ff, "dn1": d, "dr1": d,
               "dq": d, "dk": d, "dv": d, "dx": d}
     sums: list[Callable[[], None]] = []

@@ -321,8 +321,12 @@ class ErrorBreakdown:
     """Prediction errors under lenient matching, one list per ``CATEGORIES``
     name. A case names its gold span, its prediction, or both.
 
-    boundary_mismatch: a lenient-matched pair whose boundaries differ (a
-    lenient true positive that exact matching counts as an fp and an fn).
+    boundary_mismatch: a lenient-matched pair whose boundaries differ, a
+    lenient true positive. Exact matching pairs spans apart from lenient
+    matching, so a row need not be an exact fp and fn: given gold (0,5) and
+    (4,9) of one label and the prediction (4,9), the row pairs (0,5) with
+    (4,9), exact matching pairs (4,9) with itself, and gold (4,9) is then a
+    lenient false negative below.
 
     Each lenient false negative is in one of two categories:
     type_confusion: a gold span that a prediction of another label overlaps,

@@ -764,7 +764,8 @@ def chain_digests(tmp_path_factory):
 
 class TestDeterminismAcrossBlasThreads:
     """Importing the encoder holds numpy's OpenBLAS at one thread, so every
-    checkpoint has the same bytes whatever the caller's environment."""
+    checkpoint has the same bytes whatever ``OPENBLAS_NUM_THREADS`` says. The
+    kernel that ``OPENBLAS_CORETYPE`` picks does change them."""
 
     @pytest.mark.parametrize("name", ["pretrained", "resized", "adapted", "finetuned"])
     def test_chain_checkpoint_bytes_equal_under_1_2_4_and_unset_threads(
@@ -793,10 +794,12 @@ class TestDeterminismAcrossBlasThreads:
         assert outputs[0] == outputs[1]
 
 
-# pre-trained and fine-tuned checkpoint digests, one line per pool size
+# the OpenBLAS kernel's name, then pre-trained and fine-tuned checkpoint
+# digests, one line per pool size
 _SHARDED_TRAINING_CHECK = '''
-import hashlib, sys
+import ctypes, hashlib, sys
 from pathlib import Path
+import numpy as np
 from phenotag.basevocab import default_vocabulary
 from phenotag.encoder import (
     FinetuneConfig, ModelConfig, finetune_ner, init_model, pretrain_mlm, save_checkpoint,
@@ -804,6 +807,12 @@ from phenotag.encoder import (
 from phenotag.encoder import model
 from phenotag.synthesis import generate_synthetic
 
+try:
+    corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    print(corename().decode())
+except (OSError, AttributeError):  # numpy links another BLAS
+    print("unknown")
 vocab = default_vocabulary()
 docs = generate_synthetic(5, 12)
 cases = (  # (config, pre-training batch, fine-tuning batch)
@@ -825,80 +834,72 @@ for workers in (1, 2, 3, 4):
     print(" ".join(digests))
 '''
 
-# the same checkpoints written by the serial step before the pool came in
-_SERIAL_DIGESTS = [
-    "74fb17b32541b089fe7cf8af21da4daafd2bcc57e35ff54c7e7f014752a8cba3",
-    "60019a452e8d36b2b3d3da755325c0731e3b5ba060791e983904279f8e655619",
-    "241ed38fd3331d1b2339a9f70f21588bf9f45e2dac2d6b317be0e02db9a57aea",
-    "33972c04c587c910d065a473c79f688b79849d85a4945f0556ccc31323abd3fd",
-]
+# the same checkpoints written by the serial step, per OpenBLAS kernel
+_SERIAL_DIGESTS = {
+    "SkylakeX": [
+        "74fb17b32541b089fe7cf8af21da4daafd2bcc57e35ff54c7e7f014752a8cba3",
+        "60019a452e8d36b2b3d3da755325c0731e3b5ba060791e983904279f8e655619",
+        "9d1465fc2fb5750f38b74b93603c326eca9ff2055c6cca451f12655f114959ab",
+        "bbe2e14ce19b2259cd1f8351dfc82319007076bf9641789b95ae26c87c862cb1",
+    ],
+    "Haswell": [
+        "44a25e556eb772fb6879802aafda4c7729ddb337725d7c694e3b85f0d0c9f8fb",
+        "b9399ca972f9663fb3ca74fc64484600ccb6754b75235f4e34444e1a2e403221",
+        "260c66ae20a0db3a188e88de52f46bd2916afcc5542f93ed3f46c158690bf727",
+        "e1b081d6950c4ec43dbaa73e7e9776e79497ecbd4d783f3f0b1af07df1a6cdbd",
+    ],
+    "Sandybridge": [
+        "f74d0bc99712dd2421d7a074b4a6e352232644d7a6790f871de02701c330ce1e",
+        "580b180eef9789be40bc5a61802b91bdfe9438530b2fdda55ee23bafcbc4c5d1",
+        "d691a3dd67c80bf566f81bde9c0e82ed3369c720152c60cdcea863a467b86283",
+        "89567bf152121eff44ae10311c17631592c56c5b3bddfb9efe3d8715cfefeca8",
+    ],
+}
+
+# the CPU flags each forced kernel needs: without them its child dies of SIGILL
+_KERNEL_FLAGS = {None: set(), "Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+def _cpu_flags() -> set[str]:
+    """The flags /proc/cpuinfo lists for the first CPU (none where unknown)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as f:
+            for line in f:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
 
 
 class TestShardedTraining:
     """A training step's forward, and each layer's activation-gradient chain
-    in its backward, run as row shards on a thread pool; every sum over rows
-    (the weight and layer-norm gradients) runs whole, in the serial operands
-    and order. Checkpoints keep the serial bytes."""
+    in its backward, run as row shards on a thread pool, and each of their
+    products is one BLAS call per batch row; every sum over rows (the weight
+    and layer-norm gradients) runs whole, in the serial operands and order.
+    Checkpoints keep the serial bytes, whatever OpenBLAS kernel runs."""
 
-    def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path):
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"])  # None: native
+    def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path, kernel):
         # Batches of 5, 7, 3 and 2 rows: odd counts, batches smaller than the
         # pool, 1-row shards; the second model's rows are [CLS] piece [SEP].
         # BLAS runs one thread: the tied decoder's bytes still depend on
         # that count.
+        if not _KERNEL_FLAGS[kernel] <= _cpu_flags():
+            pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernel")
         proc = subprocess.run(
             [sys.executable, "-c", _SHARDED_TRAINING_CHECK, str(tmp_path)],
             capture_output=True, text=True, timeout=300,
-            env=child_env(OPENBLAS_NUM_THREADS="1"),
+            env=child_env(OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=kernel),
         )
         assert proc.returncode == 0, proc.stderr
-        assert [line.split() for line in proc.stdout.splitlines()] == [_SERIAL_DIGESTS] * 4
-
-    @pytest.mark.parametrize("dout, din", [(64, 64), (64, 256), (256, 64)])
-    def test_a_product_over_a_minimum_row_shard_gives_the_whole_rows(self, dout, din):
-        # the smallest slice above OpenBLAS's small-matrix kernel for this
-        # product's width, and the chain's minimum at the default widths
-        rng = np.random.default_rng(dout + din)
-        w = rng.normal(0.0, 0.02, (din, dout))
-        dy = rng.normal(size=(240, dout))
-        whole = model_module._linear_dx(dy, w)
-        chain = model_module._SMALL_PRODUCT_ELEMENTS // 64 + 1
-        assert chain == 19
-        for n in {model_module._SMALL_PRODUCT_ELEMENTS // din + 1, chain}:
-            for lo in (0, 1, 37, len(dy) - n):
-                part = model_module._linear_dx(dy[lo : lo + n], w)
-                assert np.array_equal(part, whole[lo : lo + n]), (n, lo)
-
-    @pytest.mark.parametrize("rows, positions, cut", [
-        (2, 18, [slice(0, 2)]),  # 1-row shards would have 18 positions
-        (2, 19, [slice(0, 1), slice(1, 2)]),
-        (3, 10, [slice(0, 3)]),  # 2-row shards of 20 positions: only one fits
-        (4, 10, [slice(0, 2), slice(2, 4)]),
-    ])
-    def test_the_backward_cuts_shards_of_at_least_19_positions(
-        self, pool_size, monkeypatch, rows, positions, cut
-    ):
-        real_shards = model_module._row_shards
-        backward_cuts = []
-
-        def recording_shards(n, *min_rows):  # only the backward passes min_rows
-            shards = real_shards(n, *min_rows)
-            if min_rows:
-                backward_cuts.append(shards)
-            return shards
-
-        monkeypatch.setattr(model_module, "_row_shards", recording_shards)
-        config = ModelConfig(vocab_size=2585)
-        rng = np.random.default_rng(rows * positions)
-        ids = rng.integers(5, config.vocab_size, (rows, positions))
-        mask = np.ones((rows, positions))
-        mask[0, positions - 2 :] = 0.0
-        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (rows, positions)), -1)
-        grads = []
-        for threads in (1, 2):
-            pool_size(threads)
-            grads.append(ner_loss_and_grads(init_params(config), config, ids, mask, tags)[2])
-        assert backward_cuts[-1] == cut
-        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+        name, *lines = proc.stdout.splitlines()
+        if kernel is not None and name != kernel:
+            pytest.skip(f"OPENBLAS_CORETYPE={kernel} runs the {name} kernel")
+        digests = [line.split() for line in lines]
+        assert len(digests) == 4 and digests[1:] == [digests[0]] * 3, (name, digests)
+        if name in _SERIAL_DIGESTS:
+            assert digests[0] == _SERIAL_DIGESTS[name]
 
     def test_the_order_of_a_runs_calls_changes_no_bit(self, pool_size, monkeypatch):
         # A run's calls write disjoint arrays: a runner that takes them one

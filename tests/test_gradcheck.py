@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,18 +57,17 @@ class TestGradCheck:
 
 
 def test_one_row_shards_give_the_serial_gradients(monkeypatch):
-    # At pool size 2 the 2-row probe's forward runs as two 1-row shards. Its
-    # backward runs one shard: a shard of this config's chain needs
-    # 1200 // 16 + 1 = 76 positions, and a row has 10.
+    # At pool size 2 the 2-row probe's forward and each layer's backward chain
+    # both run as two 1-row shards.
     from phenotag.encoder import model
 
     real_shards = model._row_shards
-    cut, backward_cut, grads = [], [], {}
+    cuts, grads = {}, {}
 
-    def recording_shards(rows, *min_rows):  # only the backward passes min_rows
-        cuts = backward_cut if min_rows else cut
-        cuts.append(real_shards(rows, *min_rows))
-        return cuts[-1]
+    def recording_shards(rows):  # by pool size and calling function
+        caller = sys._getframe(1).f_code.co_name
+        cuts.setdefault((workers, caller), []).append(real_shards(rows))
+        return cuts[(workers, caller)][-1]
 
     def first_grads(name, real):
         def record(*args):
@@ -82,8 +83,9 @@ def test_one_row_shards_give_the_serial_gradients(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(model, "_run_threads", lambda: workers)
         assert grad_check().max_rel_error <= 1e-4
-    assert cut[-1] == [slice(0, 1), slice(1, 2)]
-    assert backward_cut[-1] == [slice(0, 2)]
+    assert set(cuts) == {(w, f) for w in (1, 2) for f in ("forward_hidden", "backward_hidden")}
+    for caller in ("forward_hidden", "backward_hidden"):
+        assert all(cut == [slice(0, 1), slice(1, 2)] for cut in cuts[(2, caller)])
     for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
         serial, sharded = grads[(1, name)], grads[(2, name)]
         assert all(np.array_equal(serial[k], sharded[k]) for k in serial)
