@@ -879,7 +879,8 @@ class TestShardedTraining:
     and layer-norm gradients) runs whole, in the serial operands and order.
     Checkpoints keep the serial bytes, whatever OpenBLAS kernel runs."""
 
-    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"])  # None: native
+    @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"],
+                             ids=["native", "Haswell", "Sandybridge"])
     def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path, kernel):
         # Batches of 5, 7, 3 and 2 rows: odd counts, batches smaller than the
         # pool, 1-row shards; the second model's rows are [CLS] piece [SEP].
