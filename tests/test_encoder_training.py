@@ -902,6 +902,50 @@ class TestShardedTraining:
         if name in _SERIAL_DIGESTS:
             assert digests[0] == _SERIAL_DIGESTS[name]
 
+    @pytest.mark.parametrize("dout, din", [(64, 64), (64, 256), (256, 64)])
+    def test_a_product_over_a_row_shard_gives_the_whole_rows(self, dout, din):
+        # Each batch row is its own 2-D product, so a slice of rows, however
+        # few positions it holds, has the bits of the whole batch's rows.
+        rng = np.random.default_rng(dout + din)
+        w = rng.normal(0.0, 0.02, (din, dout))
+        dy = rng.normal(size=(12, 3, dout))
+        whole = model_module._linear_dx(dy, w)
+        assert all(np.array_equal(whole[i], dy[i] @ w.T) for i in range(len(dy)))
+        out = np.empty_like(whole)
+        for lo, hi in [(0, 1), (1, 3), (5, 12), (11, 12), (0, 12)]:
+            part = model_module._linear_dx(dy[lo:hi], w, out[lo:hi])
+            assert np.array_equal(part, whole[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("rows, positions, cut", [
+        (2, 18, [slice(0, 1), slice(1, 2)]),  # 1-row shards of 18 positions
+        (2, 19, [slice(0, 1), slice(1, 2)]),
+        (3, 10, [slice(0, 1), slice(1, 3)]),
+        (4, 10, [slice(0, 2), slice(2, 4)]),
+    ])
+    def test_the_backward_cuts_the_forwards_shards(
+        self, pool_size, monkeypatch, rows, positions, cut
+    ):
+        real_shards = model_module._row_shards
+        cuts = collections.defaultdict(list)
+
+        def recording_shards(n):  # by calling function
+            cuts[sys._getframe(1).f_code.co_name].append(real_shards(n))
+            return cuts[sys._getframe(1).f_code.co_name][-1]
+
+        monkeypatch.setattr(model_module, "_row_shards", recording_shards)
+        config = ModelConfig(vocab_size=2585)
+        rng = np.random.default_rng(rows * positions)
+        ids = rng.integers(5, config.vocab_size, (rows, positions))
+        mask = np.ones((rows, positions))
+        mask[0, positions - 2 :] = 0.0
+        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (rows, positions)), -1)
+        grads = []
+        for threads in (1, 2):
+            pool_size(threads)
+            grads.append(ner_loss_and_grads(init_params(config), config, ids, mask, tags)[2])
+        assert cuts["forward_hidden"][-1] == cuts["backward_hidden"][-1] == cut
+        assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
+
     def test_the_order_of_a_runs_calls_changes_no_bit(self, pool_size, monkeypatch):
         # A run's calls write disjoint arrays: a runner that takes them one
         # after another in reverse order gives the pool's bits, whatever
