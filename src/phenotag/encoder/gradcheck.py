@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .config import ModelConfig
-from .model import init_params, mlm_loss_and_grads, ner_loss_and_grads
+from .model import _BLOCK_ROWS, init_params, mlm_loss_and_grads, ner_loss_and_grads
 
 DEFAULT_TINY_CONFIG = ModelConfig(
     vocab_size=32,
@@ -93,17 +93,23 @@ def grad_check(
     rng = np.random.default_rng(seed)
     params = init_params(cfg)
 
-    b, s = 2, min(10, cfg.max_positions)
+    # Rows of falling length, two more than a training block holds: the loss
+    # runs a full block and a block of two shorter rows, as training does,
+    # and the attention-mask path at the pads.
+    b, s = _BLOCK_ROWS + 2, min(10, cfg.max_positions)
     ids = rng.integers(0, cfg.vocab_size, size=(b, s))
-    mask = np.ones((b, s), dtype=np.float64)
-    mask[1, s - 2 :] = 0.0  # exercise the attention-mask path
+    lengths = s - np.arange(b) * (s // 2) // b
+    mask = (np.arange(s) < lengths[:, None]).astype(np.float64)
 
-    # masked-LM probe: a handful of supervised positions on unmasked tokens
-    flat_positions = [(r, p) for r in range(b) for p in range(s) if mask[r, p] == 1.0]
-    take = rng.choice(len(flat_positions), size=4, replace=False)
-    pos_b = np.array([flat_positions[int(i)][0] for i in take])
-    pos_s = np.array([flat_positions[int(i)][1] for i in take])
-    labels = rng.integers(0, cfg.vocab_size, size=4)
+    # masked-LM probe: a few supervised positions in each block's rows
+    pos_b, pos_s = [], []
+    for rows in (range(_BLOCK_ROWS), range(_BLOCK_ROWS, b)):
+        flat_positions = [(r, p) for r in rows for p in range(lengths[r])]
+        for i in rng.choice(len(flat_positions), size=3, replace=False):
+            pos_b.append(flat_positions[int(i)][0])
+            pos_s.append(flat_positions[int(i)][1])
+    pos_b, pos_s = np.array(pos_b), np.array(pos_s)
+    labels = rng.integers(0, cfg.vocab_size, size=len(pos_b))
 
     _, _, mlm_grads = mlm_loss_and_grads(params, cfg, ids, mask, pos_b, pos_s, labels)
     mlm_errors = _rel_errors(

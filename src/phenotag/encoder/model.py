@@ -14,30 +14,29 @@ out gradients as views of one flat buffer, in the dict's order, and the
 optimizer lays the parameters it trains out the same way, so an Adam step
 runs over one buffer of each. The public functions never mutate their
 inputs, but ``backward_hidden`` adds into the gradients it is given and
-spends the cache. The private kernels work in place
-on temporaries they allocated themselves, in the operation order of the
-plain expressions, so results are bitwise the same with fewer allocations.
+spends the cache. The private kernels work in place on temporaries they
+allocated themselves, in the operation order of the plain expressions, so
+results are bitwise the same with fewer allocations.
 
 ``tag_logits`` runs the training forward's kernels in the same order but
 keeps no backward cache, so a call never holds every layer's activations.
 
 Training and prediction share one thread pool and one runner, ``_run_all``, on
-the CPUs that other processes leave free. A training step gives the bits of a
-serial step at any thread count by one rule: every product is per batch row
-(numpy calls BLAS once per row for a 3-D product, and once per row and head in
-attention), so on any BLAS kernel a row slice computes the bits the whole
-batch would (checked under OpenBLAS's ``SkylakeX``, ``Haswell`` and
-``Sandybridge`` kernels). The forward with a cache cuts the padded batch into
-one row slice per thread, never re-padded, and runs the slices as calls, each
-writing its rows of whole-batch arrays. The backward cuts each layer's
-activation-gradient chain (the layer-norm, GELU and attention gradients and
-the products ``dy @ w.T`` between them) into the same slices. What sums over
-rows stays whole: each weight's and each layer norm's gradient is one call in
-the serial operands and order, run with the chain shards of the layer below.
-Threads take a run's calls in list order, so a run lists its longest call
-first: the embedding's backward leads the last run. The loss heads run on the
-calling thread, and the cache-free forward never calls the runner, so
-prediction's calls on the pool never wait on it.
+the CPUs that other processes leave free. A training step has one parallel
+seam, fixed by its batch alone, never by the thread count: the rows, sorted
+by length (longest first, ties in batch order), are cut into blocks of
+``_BLOCK_ROWS`` rows, and each block is cut to its own longest row, so it
+carries less padding than the batch. One run takes the blocks, longest first,
+each a call that runs a serial forward, the loss head and a serial backward
+into gradients of its own; the loss is divided by the whole batch's count of
+supervised positions, and the step adds the blocks' losses and gradients in
+block order. So a step's bits are the same at any thread count, and they
+equal the unblocked batch's up to rounding (a pad's gradients are exactly 0,
+below). Goyal et al. ("Accurate, Large Minibatch SGD", arXiv 1706.02677) sum
+per-shard gradients this way; padding each block to its own longest row is
+the dynamic padding of BERT fine-tuning (Devlin et al., arXiv 1810.04805).
+The cache-free forward never calls the runner, so prediction's calls on the
+pool never wait on it.
 
 Masked keys get attention probability exactly 0, so no real position reads a
 pad's activations, and a pad's gradients are exactly 0. The forward therefore
@@ -67,7 +66,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache, partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -167,23 +166,22 @@ def _flat_buffer(views: dict[str, np.ndarray]) -> np.ndarray:
 # primitive blocks
 
 
-def _layernorm(x, g, b, out=(None, None, None)):
-    """Layer norm over the last axis; ``out`` takes (y, xhat, inv) if given."""
-    y, xhat, inv = out
+def _layernorm(x, g, b):
+    """Layer norm over the last axis; returns (y, (xhat, inv, g))."""
     mu = x.mean(-1, keepdims=True)
-    xhat = np.subtract(x, mu, out=xhat)
-    sq = np.multiply(xhat, xhat, out=y)
+    xhat = np.subtract(x, mu)
+    sq = np.multiply(xhat, xhat)
     var = sq.mean(-1, keepdims=True)
-    inv = np.divide(1.0, np.sqrt(var + LN_EPS), out=inv)
+    inv = np.divide(1.0, np.sqrt(var + LN_EPS))
     xhat *= inv
     y = np.multiply(g, xhat, out=sq)
     y += b
     return y, (xhat, inv, g)
 
 
-def _layernorm_dx(dy, xhat, inv, g, out=None):
+def _layernorm_dx(dy, xhat, inv, g):
     """Layer norm's gradient on its input, row by row."""
-    dx = np.multiply(dy, g, out=out)
+    dx = np.multiply(dy, g)
     tmp = np.multiply(dx, xhat)
     m2 = tmp.mean(-1, keepdims=True)
     dx -= dx.mean(-1, keepdims=True)
@@ -201,28 +199,27 @@ def _add_layernorm_grads(grads, name, dy, xhat):
     grads[name + "_b"] += dy.sum(axis=axes)
 
 
-def _gelu(x, out=(None, None), real=None):
+def _gelu(x, real=None):
     """GELU with the exact normal CDF; returns (activation, cdf).
 
-    Given ``real``, a boolean mask over the leading axes of ``x``, the CDF
-    (into ``out``'s, which must then be given) is computed only where it is
-    true and is 0 elsewhere. ``scipy.special`` is imported here, at the first
-    GELU, so a command that runs no forward pass does not pay for it.
+    Given ``real``, a boolean mask over the leading axes of ``x``, the CDF is
+    computed only where it is true and is 0 elsewhere. ``scipy.special`` is
+    imported here, at the first GELU, so a command that runs no forward pass
+    does not pay for it.
     """
     from scipy.special import ndtr
 
-    act, cdf = out
     if real is None:
-        cdf = ndtr(x, out=cdf)
+        cdf = ndtr(x)
     else:
-        cdf.fill(0.0)
+        cdf = np.zeros_like(x)
         cdf[real] = ndtr(x[real])
-    return np.multiply(x, cdf, out=act), cdf
+    return np.multiply(x, cdf), cdf
 
 
-def _gelu_backward(dy, x, cdf, out=None):
+def _gelu_backward(dy, x, cdf):
     """dy * d/dx[x * cdf(x)] = dy * (cdf + x * pdf), with cdf from the forward."""
-    g = np.multiply(-0.5, x, out=out)
+    g = np.multiply(-0.5, x)
     g *= x
     np.exp(g, out=g)
     g *= _INV_SQRT_2PI
@@ -251,16 +248,16 @@ def _split_heads(x, n_heads):
     return x.reshape(b, s, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _affine(x, w, b, out=None):
+def _affine(x, w, b):
     """x @ w + b, adding the bias into the product's buffer."""
-    y = np.matmul(x, w, out=out)
+    y = np.matmul(x, w)
     y += b
     return y
 
 
-def _linear_dx(dy, w, out=None):
-    """dx = dy @ w.T for y = x @ w + b, one product per batch row."""
-    return np.matmul(dy, w.T, out=out)
+def _linear_dx(dy, w):
+    """dx = dy @ w.T for y = x @ w + b, one product over every position."""
+    return (dy.reshape(-1, dy.shape[-1]) @ w.T).reshape(*dy.shape[:-1], w.shape[0])
 
 
 def _add_linear_grads(grads, w, b, x, dy):
@@ -330,8 +327,9 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 def _run_all(calls: list[Callable[[], object]]) -> list:
     """Run the calls on the calling thread and up to ``_run_threads() - 1``
     pool threads, each taking the next call that none has taken; returns the
-    results in call order. Threads take calls in list order, so a run lists
-    its longest call first, lest one thread end the run with it while the
+    results in call order. Threads take calls in list order, so a run (a
+    training step's blocks, prediction's batches, Adam's shares) lists its
+    longest call first, lest one thread end the run with it while the
     others idle. After a call raises no call starts, and once the running
     ones end the first exception, the calling thread's before the pool's,
     propagates unchanged. A call must never call ``_run_all``: the pool's
@@ -379,36 +377,24 @@ def _row_shards(rows: int) -> list[slice]:
 # backbone forward / backward
 
 
-def _stage_arrays(config: ModelConfig, b: int, s: int) -> Iterator[dict[str, np.ndarray]]:
-    """Empty arrays for the embedding's, then each layer's, activations over
-    ``b`` rows of ``s`` positions, made as they are asked for."""
-    d, f = config.d_model, config.d_ff
-    yield {"h": np.empty((b, s, d)), "xhat": np.empty((b, s, d)), "inv": np.empty((b, s, 1))}
-    widths = {"q": d, "k": d, "v": d, "ctx": d, "n1": d, "xhat1": d, "inv1": 1,
-              "hmid": f, "cdf": f, "act": f, "h": d, "xhat2": d, "inv2": 1}
-    for _ in range(config.n_layers):
-        arrays = {name: np.empty((b, s, width)) for name, width in widths.items()}
-        arrays["probs"] = np.empty((b, config.n_heads, s, s))
-        yield arrays
-
-
-def _forward_rows(
+def _forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     ids: np.ndarray,
     mask: np.ndarray,
     read: np.ndarray | None,
-    stages: Iterator[dict[str, np.ndarray]],
+    stages: list[dict[str, np.ndarray]] | None,
 ) -> np.ndarray:
-    """The encoder over the rows ``ids``: the embedding, then each layer,
-    writes its activations into the next dict of ``stages``. Returns h, which
-    the last layer computes only at the positions ``read`` (at every real
-    one if it is None)."""
+    """The encoder over the rows ``ids``. Returns h, which the last layer
+    computes only at the positions ``read`` (at every real one if it is
+    None). Given a list ``stages``, appends the embedding's, then each
+    layer's, activations to it."""
     s = ids.shape[1]
-    o = next(stages)
     e = params["tok_emb"][ids]
     e += params["pos_emb"][:s]
-    h, _ = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"], (o["h"], o["xhat"], o["inv"]))
+    h, (xhat, inv, _) = _layernorm(e, params["emb_ln_g"], params["emb_ln_b"])
+    if stages is not None:
+        stages.append({"h": h, "xhat": xhat, "inv": inv})
 
     # Unpadded, the key bias would be +0.0 everywhere: it changes only a -0.0
     # score, and exp maps both to 1.
@@ -423,29 +409,35 @@ def _forward_rows(
     if read is not None and cdf_at:
         cdf_at[-1] = None if read.all() else read
     scale = 1.0 / math.sqrt(config.d_model // config.n_heads)
-    for i, o in zip(range(config.n_layers), stages):
+    for i in range(config.n_layers):
         pre = f"l{i}."
         x = h
-        q = _affine(x, params[pre + "attn_wq"], params[pre + "attn_bq"], o["q"])
-        k = _affine(x, params[pre + "attn_wk"], params[pre + "attn_bk"], o["k"])
-        v = _affine(x, params[pre + "attn_wv"], params[pre + "attn_bv"], o["v"])
+        q = _affine(x, params[pre + "attn_wq"], params[pre + "attn_bq"])
+        k = _affine(x, params[pre + "attn_wk"], params[pre + "attn_bk"])
+        v = _affine(x, params[pre + "attn_wv"], params[pre + "attn_bv"])
         qh, kh, vh = (_split_heads(a, config.n_heads) for a in (q, k, v))
-        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2), out=o["probs"])
+        scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
         scores *= scale
         if key_bias is not None:
             scores += key_bias
         probs = _softmax_last(scores, out=scores)
-        _split_heads(o["ctx"], config.n_heads)[...] = probs @ vh
-        attn = _affine(o["ctx"], params[pre + "attn_wo"], params[pre + "attn_bo"])
+        ctx = np.empty_like(x)
+        _split_heads(ctx, config.n_heads)[...] = probs @ vh
+        attn = _affine(ctx, params[pre + "attn_wo"], params[pre + "attn_bo"])
         attn += x  # residual
-        n1, _ = _layernorm(attn, params[pre + "attn_ln_g"], params[pre + "attn_ln_b"],
-                           (o["n1"], o["xhat1"], o["inv1"]))
-        hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"], o["hmid"])
-        act, _ = _gelu(hmid, (o["act"], o["cdf"]), cdf_at[i])
+        n1, (xhat1, inv1, _) = _layernorm(attn, params[pre + "attn_ln_g"],
+                                          params[pre + "attn_ln_b"])
+        hmid = _affine(n1, params[pre + "ffn_w1"], params[pre + "ffn_b1"])
+        act, cdf = _gelu(hmid, cdf_at[i])
         f = _affine(act, params[pre + "ffn_w2"], params[pre + "ffn_b2"])
         f += n1  # residual
-        h, _ = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"],
-                          (o["h"], o["xhat2"], o["inv2"]))
+        h, (xhat2, inv2, _) = _layernorm(f, params[pre + "ffn_ln_g"], params[pre + "ffn_ln_b"])
+        if stages is not None:
+            stages.append({
+                "q": q, "k": k, "v": v, "probs": probs, "ctx": ctx, "n1": n1,
+                "xhat1": xhat1, "inv1": inv1, "hmid": hmid, "cdf": cdf, "act": act,
+                "h": h, "xhat2": xhat2, "inv2": inv2,
+            })
     return h
 
 
@@ -458,93 +450,80 @@ def forward_hidden(
     keep_cache: bool = True,
     read: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the encoder: hidden states [B, S, d] and, if kept, a backward cache.
+    """Run the encoder on the calling thread: hidden states [B, S, d] and, if
+    kept, a backward cache.
 
     ``read``, a boolean [B, S] mask, marks the positions whose hidden state
     the caller reads, every real one by default; elsewhere the returned h is
-    not the encoder's. With the cache, row shards run on the pool into
-    whole-batch arrays. Without it, the calling thread runs every row, and a
-    layer's arrays are dropped as the next layer replaces them.
+    not the encoder's. Without the cache, a layer's arrays are dropped as the
+    next layer replaces them.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask, dtype=np.float64)
-    b, s = ids.shape
-    if s > config.max_positions:
+    if ids.shape[1] > config.max_positions:
         raise ConfigurationError(
-            f"sequence length {s} exceeds max_positions {config.max_positions}"
+            f"sequence length {ids.shape[1]} exceeds max_positions {config.max_positions}"
         )
+    stages = [] if keep_cache else None
+    h = _forward(params, config, ids, mask, read, stages)
     if not keep_cache:
-        h = _forward_rows(params, config, ids, mask, read, _stage_arrays(config, b, s))
         return h, None
-    stages = list(_stage_arrays(config, b, s))
-    _run_all([
-        partial(_forward_rows, params, config, ids[rows], mask[rows],
-                None if read is None else read[rows],
-                iter([{name: a[rows] for name, a in o.items()} for o in stages]))
-        for rows in _row_shards(b)
-    ])
-    cache = {"ids": ids, "config": config, "emb": stages[0], "layers": stages[1:]}
-    return stages[-1]["h"], cache
+    return h, {"ids": ids, "config": config, "emb": stages[0], "layers": stages[1:]}
 
 
-# what only a layer's activation-gradient chain reads of its activations
-_CHAIN_ONLY = ("q", "k", "v", "probs", "hmid", "cdf", "inv1", "inv2")
-
-
-def _attention_backward(config, o, dctx, out):
-    """Attention's gradients on q, k and v, written to the three arrays of
-    ``out``, from that on its merged context ``dctx`` and the layer's
-    activations ``o``."""
+def _attention_backward(config, o, dctx):
+    """Attention's gradients on q, k and v, from that on its merged context
+    ``dctx`` and the layer's activations ``o``."""
     n_heads = config.n_heads
     scale = 1.0 / math.sqrt(config.d_model // n_heads)
     dctx_h = _split_heads(dctx, n_heads)
     qh, kh, vh = (_split_heads(o[name], n_heads) for name in ("q", "k", "v"))
-    dqh, dkh, dvh = (_split_heads(a, n_heads) for a in out)
+    dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
+    dqh, dkh, dvh = (_split_heads(a, n_heads) for a in (dq, dk, dv))
     probs = o["probs"]
     dprobs = dctx_h @ vh.transpose(0, 1, 3, 2)
     dvh[...] = probs.transpose(0, 1, 3, 2) @ dctx_h
     dscores = _softmax_backward(dprobs, probs)
     np.multiply(dscores @ kh, scale, out=dqh)
     np.multiply(dscores.transpose(0, 1, 3, 2) @ qh, scale, out=dkh)
+    return dq, dk, dv
 
 
-def _chain_rows(params, config, pre, o, dh, g) -> None:
-    """Backpropagate ``dh`` through one layer, row by row: writes the
-    gradients on its activations ``o`` into the arrays of ``g``, and that on
-    its input into ``g["dx"]``. Every array covers the same rows."""
+def _layer_backward(params, grads, config, pre, o, x, dh):
+    """Backpropagate ``dh`` through the layer ``pre`` with activations ``o``
+    and input ``x``: adds its weight and layer-norm gradients to ``grads``
+    and returns the gradient on ``x``."""
 
     def w(name):
         return params[pre + name]
 
-    dr2 = _layernorm_dx(dh, o["xhat2"], o["inv2"], w("ffn_ln_g"), g["dr2"])
-    dhmid = _gelu_backward(_linear_dx(dr2, w("ffn_w2")), o["hmid"], o["cdf"], g["dhmid"])
-    dn1 = _linear_dx(dhmid, w("ffn_w1"), g["dn1"])
+    def add_linear(name, a, dy):
+        _add_linear_grads(grads, pre + name, pre + name.replace("_w", "_b"), a, dy)
+
+    dr2 = _layernorm_dx(dh, o["xhat2"], o["inv2"], w("ffn_ln_g"))
+    _add_layernorm_grads(grads, pre + "ffn_ln", dh, o["xhat2"])
+    add_linear("ffn_w2", o["act"], dr2)
+    dhmid = _gelu_backward(_linear_dx(dr2, w("ffn_w2")), o["hmid"], o["cdf"])
+    add_linear("ffn_w1", o["n1"], dhmid)
+    dn1 = _linear_dx(dhmid, w("ffn_w1"))
     dn1 += dr2  # residual around the feed-forward block
-    dr1 = _layernorm_dx(dn1, o["xhat1"], o["inv1"], w("attn_ln_g"), g["dr1"])
-    _attention_backward(config, o, _linear_dx(dr1, w("attn_wo")), (g["dq"], g["dk"], g["dv"]))
-    dx = _linear_dx(g["dq"], w("attn_wq"), g["dx"])
+    dr1 = _layernorm_dx(dn1, o["xhat1"], o["inv1"], w("attn_ln_g"))
+    _add_layernorm_grads(grads, pre + "attn_ln", dn1, o["xhat1"])
+    add_linear("attn_wo", o["ctx"], dr1)
+    dq, dk, dv = _attention_backward(config, o, _linear_dx(dr1, w("attn_wo")))
+    add_linear("attn_wq", x, dq)
+    add_linear("attn_wk", x, dk)
+    add_linear("attn_wv", x, dv)
+    dx = _linear_dx(dq, w("attn_wq"))
     dx += dr1  # residual around attention
-    dx += _linear_dx(g["dk"], w("attn_wk"))
-    dx += _linear_dx(g["dv"], w("attn_wv"))
-
-
-def _layer_sums(grads, pre, o, x, dh, g) -> list[Callable[[], None]]:
-    """The calls that add one layer's weight and layer-norm gradients, each a
-    sum over every row, to ``grads``, once ``_chain_rows`` has written ``g``."""
-    linear = (("ffn_w2", o["act"], g["dr2"]), ("ffn_w1", o["n1"], g["dhmid"]),
-              ("attn_wo", o["ctx"], g["dr1"]), ("attn_wq", x, g["dq"]),
-              ("attn_wk", x, g["dk"]), ("attn_wv", x, g["dv"]))
-    return [
-        *(partial(_add_linear_grads, grads, pre + w, pre + w.replace("_w", "_b"), a, dy)
-          for w, a, dy in linear),
-        partial(_add_layernorm_grads, grads, pre + "ffn_ln", dh, o["xhat2"]),
-        partial(_add_layernorm_grads, grads, pre + "attn_ln", g["dn1"], o["xhat1"]),
-    ]
+    dx += _linear_dx(dk, w("attn_wk"))
+    dx += _linear_dx(dv, w("attn_wv"))
+    return dx
 
 
 def _embedding_backward(grads, ids, emb, gain, dh) -> None:
     """Backpropagate ``dh`` through the embedding's layer norm ``emb`` with
-    gain ``gain`` into ``grads``, every row at once."""
+    gain ``gain`` into ``grads``."""
     de = _layernorm_dx(dh, emb["xhat"], emb["inv"], gain)
     _add_layernorm_grads(grads, "emb_ln", dh, emb["xhat"])
     np.add.at(grads["tok_emb"], ids, de)
@@ -557,56 +536,80 @@ def backward_hidden(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Backpropagate a gradient on hidden states into ``grads`` (accumulating).
-
-    Each layer's activation-gradient chain runs as row shards, in one run of
-    ``_run_all`` with the sums over rows of the layer above it; the last run
-    is the embedding's backward, the longest call, then the first layer's
-    sums. As a layer's chain ends, the activations only it reads leave
-    ``cache``, which is then spent.
-    """
+    """Backpropagate a gradient on hidden states into ``grads`` (accumulating),
+    on the calling thread. Each layer's activations leave ``cache`` as its
+    backward ends, so the cache is spent."""
     config: ModelConfig = cache["config"]
-    stages = [cache["emb"], *cache["layers"]]
-    b, s, d = dh.shape
-    shards = _row_shards(b)
-    widths = {"dr2": d, "dhmid": config.d_ff, "dn1": d, "dr1": d,
-              "dq": d, "dk": d, "dv": d, "dx": d}
-    sums: list[Callable[[], None]] = []
+    layers = cache["layers"]
     for i in reversed(range(config.n_layers)):
-        pre, o = f"l{i}.", stages[i + 1]
-        g = {name: np.empty((b, s, width)) for name, width in widths.items()}
-        _run_all([
-            *(partial(_chain_rows, params, config, pre, {k: a[rows] for k, a in o.items()},
-                      dh[rows], {k: a[rows] for k, a in g.items()}) for rows in shards),
-            *sums,
-        ])
-        for name in _CHAIN_ONLY:
-            del o[name]
-        sums = _layer_sums(grads, pre, o, stages[i]["h"], dh, g)
-        dh = g["dx"]
-    _run_all([partial(_embedding_backward, grads, cache["ids"], stages[0],
-                      params["emb_ln_g"], dh), *sums])
+        o = layers.pop()
+        x = layers[-1]["h"] if layers else cache["emb"]["h"]
+        dh = _layer_backward(params, grads, config, f"l{i}.", o, x, dh)
+    _embedding_backward(grads, cache["ids"], cache["emb"], params["emb_ln_g"], dh)
 
 
 # ---------------------------------------------------------------------------
 # losses
 
+# Rows a training block holds: a batch's rows, longest first, are cut into
+# blocks of this many (see the module docstring).
+_BLOCK_ROWS = 8
 
-def _softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross entropy over rows; returns (loss, accuracy, dlogits)."""
+
+def _softmax_xent(logits: np.ndarray, labels: np.ndarray, n: int):
+    """Cross entropy summed over rows and divided by ``n``; returns (loss,
+    count of rows whose argmax is the label, dlogits)."""
     m = logits.max(-1, keepdims=True)
     ex = np.exp(logits - m)
     z = ex.sum(-1, keepdims=True)
     probs = ex / z
-    n = logits.shape[0]
-    idx = np.arange(n)
+    idx = np.arange(logits.shape[0])
     logp = logits[idx, labels] - (m[:, 0] + np.log(z[:, 0]))
-    loss = -logp.mean()
-    acc = float((logits.argmax(-1) == labels).mean())
+    loss = -logp.sum() / n
+    correct = int((logits.argmax(-1) == labels).sum())
     dlogits = probs
     dlogits[idx, labels] -= 1.0
     dlogits /= n
-    return float(loss), acc, dlogits
+    return float(loss), correct, dlogits
+
+
+def _blocked_step(params, config, ids, mask, read, n, head):
+    """A training step's loss, accuracy and gradients, block by block.
+
+    A row's length is the position after its last real or ``read`` one. The
+    rows, longest first (ties in batch order), are cut into blocks of
+    ``_BLOCK_ROWS``, each cut to its own longest row; one ``_run_all`` runs
+    the blocks, longest first, each a forward, ``head`` and a backward into
+    gradients of its own. ``head(rows, h, grads)`` scores the block of batch
+    rows ``rows`` from their hidden states ``h``, with its loss divided by
+    the batch's ``n`` supervised positions: it adds the head's gradients to
+    ``grads`` and returns (loss, correct, dh). The blocks' losses, counts and
+    gradients are added in block order.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask, dtype=np.float64)
+    keep = (mask > 0) | read
+    lengths = np.where(keep.any(1), keep.shape[1] - keep[:, ::-1].argmax(1), 0)
+    order = np.argsort(-lengths, kind="stable")
+
+    def block(rows):
+        s = max(int(lengths[rows[0]]), 1)
+        h, cache = forward_hidden(params, config, ids[rows, :s], mask[rows, :s],
+                                  read=read[rows, :s])
+        grads = zero_grads(params)
+        loss, correct, dh = head(rows, h, grads)
+        backward_hidden(dh, cache, params, grads)
+        return loss, correct, grads
+
+    blocks = _run_all([partial(block, order[lo : lo + _BLOCK_ROWS])
+                       for lo in range(0, len(order), _BLOCK_ROWS)])
+    loss, correct, grads = blocks[0]
+    flat = _flat_buffer(grads)
+    for block_loss, block_correct, block_grads in blocks[1:]:
+        loss += block_loss
+        correct += block_correct
+        flat += _flat_buffer(block_grads)
+    return loss, correct / n, grads
 
 
 def mlm_loss_and_grads(
@@ -625,19 +628,25 @@ def mlm_loss_and_grads(
     """
     if len(labels) == 0:
         raise ConfigurationError("no masked positions: nothing to supervise")
+    pos_b, pos_s, labels = (np.asarray(a, dtype=np.int64) for a in (pos_b, pos_s, labels))
     read = np.zeros(np.shape(ids), dtype=bool)
     read[pos_b, pos_s] = True
-    h, cache = forward_hidden(params, config, ids, mask, read=read)
-    hm = h[pos_b, pos_s]
-    logits = _affine(hm, params["tok_emb"].T, params["mlm_bias"])
-    loss, acc, dlogits = _softmax_xent(logits, labels)
-    grads = zero_grads(params)
-    grads["mlm_bias"] += dlogits.sum(0)
-    grads["tok_emb"] += dlogits.T @ hm  # decoder side of the tied embedding
-    dh = np.zeros_like(h)
-    np.add.at(dh, (pos_b, pos_s), dlogits @ params["tok_emb"])
-    backward_hidden(dh, cache, params, grads)
-    return loss, acc, grads
+
+    def head(rows, h, grads):
+        local = np.full(len(read), -1)
+        local[rows] = np.arange(len(rows))
+        at = local[pos_b] >= 0  # the positions in this block, in the given order
+        pb, ps = local[pos_b[at]], pos_s[at]
+        hm = h[pb, ps]
+        logits = _affine(hm, params["tok_emb"].T, params["mlm_bias"])
+        loss, correct, dlogits = _softmax_xent(logits, labels[at], len(labels))
+        grads["mlm_bias"] += dlogits.sum(0)
+        grads["tok_emb"] += dlogits.T @ hm  # decoder side of the tied embedding
+        dh = np.zeros_like(h)
+        np.add.at(dh, (pb, ps), dlogits @ params["tok_emb"])
+        return loss, correct, dh
+
+    return _blocked_step(params, config, ids, mask, read, len(labels), head)
 
 
 def ner_loss_and_grads(
@@ -652,17 +661,20 @@ def ner_loss_and_grads(
     sel = tag_ids >= 0
     if not sel.any():
         raise ConfigurationError("no supervised token positions in batch")
-    h, cache = forward_hidden(params, config, ids, mask, read=sel)
-    hs = h[sel]
-    logits = _affine(hs, params["ner_w"], params["ner_b"])
-    loss, acc, dlogits = _softmax_xent(logits, tag_ids[sel])
-    grads = zero_grads(params)
-    grads["ner_w"] += hs.T @ dlogits
-    grads["ner_b"] += dlogits.sum(0)
-    dh = np.zeros_like(h)
-    dh[sel] = dlogits @ params["ner_w"].T
-    backward_hidden(dh, cache, params, grads)
-    return loss, acc, grads
+    n = int(sel.sum())
+
+    def head(rows, h, grads):
+        at = sel[rows, : h.shape[1]]
+        hs = h[at]
+        logits = _affine(hs, params["ner_w"], params["ner_b"])
+        loss, correct, dlogits = _softmax_xent(logits, tag_ids[rows, : h.shape[1]][at], n)
+        grads["ner_w"] += hs.T @ dlogits
+        grads["ner_b"] += dlogits.sum(0)
+        dh = np.zeros_like(h)
+        dh[at] = dlogits @ params["ner_w"].T
+        return loss, correct, dh
+
+    return _blocked_step(params, config, ids, mask, sel, n, head)
 
 
 def tag_logits(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .corpus import Document, EntityLabel, EntitySpan, LABELS, pair_documents
@@ -21,6 +22,8 @@ MODES = ("exact", "lenient")
 CATEGORIES = ("boundary_mismatch", "missing", "type_confusion", "spurious", "split")
 #: Level of the Student-t intervals that ``aggregate_runs`` reports.
 CONFIDENCE = 0.95
+# EntitySpan's own order as one C call per span, not Python-level comparisons
+_SPAN_ORDER = attrgetter("start_char", "end_char", "label")
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,14 @@ def match_spans(
     if mode not in MODES:
         raise ValidationError(f"unknown match mode {mode!r}")
     exact = mode == "exact"
-    gold_sorted = sorted(gold)
+    gold_sorted = sorted(gold, key=_SPAN_ORDER)
     taken = [False] * len(gold_sorted)
     of_label: dict[EntityLabel, list[int]] = {}
     for gi, g in enumerate(gold_sorted):
         of_label.setdefault(g.label, []).append(gi)
     pairs: list[tuple[EntitySpan, EntitySpan]] = []
     unmatched: list[EntitySpan] = []
-    for p in sorted(pred):
+    for p in sorted(pred, key=_SPAN_ORDER):
         # a qualifying gold span starts at p's start (exact) or before its end
         stop = p.start_char + 1 if exact else p.end_char
         for gi in of_label.get(p.label, ()):
@@ -318,30 +321,33 @@ class ErrorCase:
 
 @dataclass
 class ErrorBreakdown:
-    """Prediction errors under lenient matching, one list per ``CATEGORIES``
-    name. A case names its gold span, its prediction, or both.
+    """Prediction errors, one list per ``CATEGORIES`` name. A case names its
+    gold span, its prediction, or both.
 
-    boundary_mismatch: a lenient-matched pair whose boundaries differ, a
-    lenient true positive. Exact matching pairs spans apart from lenient
-    matching, so a row need not be an exact fp and fn: given gold (0,5) and
-    (4,9) of one label and the prediction (4,9), the row pairs (0,5) with
-    (4,9), exact matching pairs (4,9) with itself, and gold (4,9) is then a
-    lenient false negative below.
+    Exact matches are removed first; the leftover gold spans (exact false
+    negatives) and predictions (exact false positives) are then paired by
+    lenient matching, and each leftover has one row:
 
-    Each lenient false negative is in one of two categories:
+    boundary_mismatch: a leftover gold span and a leftover prediction of its
+    label that overlap, paired by lenient matching: one exact fp and one
+    exact fn.
+
+    Each other leftover gold span (an exact fn) is in one of two categories:
     type_confusion: a gold span that a prediction of another label overlaps,
     named with the first such prediction, even when a same-label prediction
     matched to another gold span also overlaps it;
     missing: any other gold span, overlapped by no prediction or only by
     same-label ones matched to other gold spans.
 
-    Each lenient false positive is in at least one of three categories:
+    Each other leftover prediction (an exact fp) is in one of three
+    categories:
     spurious: a prediction that overlaps no gold span;
     split: a prediction that overlaps a gold span of its own label, named
     with the first such gold span, which another prediction matched (the
     fragments of a span predicted in pieces);
     type_confusion: a prediction that overlaps only gold spans of other
-    labels, named with the first of them unless that span's row names it.
+    labels, named with the first of them. When that gold span's own row
+    names this prediction, that one row stands for both.
     """
 
     cases: dict[str, list[ErrorCase]] = field(
@@ -356,7 +362,7 @@ class ErrorBreakdown:
 def categorize_errors(
     gold_docs: Sequence[Document], pred_docs: Sequence[Document]
 ) -> ErrorBreakdown:
-    """Sort the errors of lenient matching into ``CATEGORIES`` (see
+    """Sort the errors of exact matching into ``CATEGORIES`` (see
     ``ErrorBreakdown`` for which errors each holds).
 
     Documents are paired by ``corpus.pair_documents``.
@@ -364,23 +370,17 @@ def categorize_errors(
     out = ErrorBreakdown()
     for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
         doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
-        pairs = match_spans(gold, pred, "lenient").pairs
-        matched_gold = {id(g) for g, _ in pairs}
-        matched_pred = {id(p) for _, p in pairs}
-        for g, p in pairs:
-            if (g.start_char, g.end_char) != (p.start_char, p.end_char):
-                out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
+        exact = match_spans(gold, pred, "exact")
+        leftover = match_spans(exact.unmatched_gold, exact.unmatched_pred, "lenient")
+        for g, p in leftover.pairs:
+            out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
         confusions = set()
-        for g in gold:
-            if id(g) in matched_gold:
-                continue
+        for g in leftover.unmatched_gold:
             confused = next((p for p in pred if p.overlaps(g) and p.label != g.label), None)
             category = "missing" if confused is None else "type_confusion"
             out.cases[category].append(ErrorCase(doc_id, g, confused))
             confusions.add((g, confused))
-        for p in pred:
-            if id(p) in matched_pred:
-                continue
+        for p in leftover.unmatched_pred:
             # EntitySpan.overlaps inline, saving a method call per gold span:
             # an untrained model leaves tens of thousands of predictions here
             start, end = p.start_char, p.end_char

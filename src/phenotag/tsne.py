@@ -4,7 +4,8 @@ Per-point Gaussian bandwidths are calibrated by binary search so every
 conditional distribution hits the target perplexity; affinities are
 symmetrized and normalized, low-dimensional similarities use a Student-t
 kernel with one degree of freedom, and optimization is plain gradient descent
-with early exaggeration and a momentum switch. Deterministic given the seed.
+with early exaggeration, a momentum switch and a learning rate that scales
+with the number of points. Deterministic given the seed.
 
 numpy is imported inside each function, so `import phenotag` loads none.
 """
@@ -21,8 +22,10 @@ logger = logging.getLogger(__name__)
 _P_MIN = 1e-12
 _TOL = 1e-5
 _MAX_STEPS = 50
-# The optimisation schedule of exact t-SNE (van der Maaten and Hinton, 2008).
-_LEARNING_RATE = 200.0
+# The optimisation schedule of exact t-SNE (van der Maaten and Hinton, 2008),
+# with a learning rate of n / early exaggeration (Belkina et al., Nature
+# Communications 2019): a fixed rate of 200 left a 100-point layout's outcome
+# to the BLAS kernel's rounding.
 _EARLY_EXAGGERATION = 12.0
 _EXAGGERATION_ITERS = 250
 _MOMENTUM_SWITCH = 250
@@ -143,6 +146,7 @@ def tsne(
         perplexity = max_perplexity
 
     p = joint_probabilities(x, perplexity)
+    learning_rate = n / _EARLY_EXAGGERATION
     y = rng.normal(0.0, 1e-4, (n, 2))
     update = np.zeros_like(y)
 
@@ -153,7 +157,7 @@ def tsne(
         pq = (p_eff - q) * num
         grad = 4.0 * ((np.diag(pq.sum(1)) - pq) @ y)
         momentum = 0.5 if t <= _MOMENTUM_SWITCH else 0.8
-        update = momentum * update - _LEARNING_RATE * grad
+        update = momentum * update - learning_rate * grad
         y = y + update
         y = y - y.mean(0)
         q, num = _student_t_q(y)

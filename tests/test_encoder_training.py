@@ -738,8 +738,8 @@ def chain_digests(tmp_path_factory):
     """{checkpoint name: [sha256 under each of _BLAS_SETTINGS]} for the
     training chain, one child process per setting. Every child fine-tunes
     from the one-thread child's pre-trained checkpoint; its epoch ends in a
-    16 x 35 batch, whose 560-row weight-gradient products OpenBLAS rounds
-    differently at two threads."""
+    16-row batch, two blocks whose weight-gradient products each sum over
+    hundreds of positions."""
     from phenotag.cli import main
 
     data = tmp_path_factory.mktemp("chain")
@@ -764,8 +764,10 @@ def chain_digests(tmp_path_factory):
 
 class TestDeterminismAcrossBlasThreads:
     """Importing the encoder holds numpy's OpenBLAS at one thread, so every
-    checkpoint has the same bytes whatever ``OPENBLAS_NUM_THREADS`` says. The
-    kernel that ``OPENBLAS_CORETYPE`` picks does change them."""
+    checkpoint has the same bytes whatever ``OPENBLAS_NUM_THREADS`` says: a
+    training step's one parallel seam is its blocks of rows, each run by one
+    thread of the encoder's pool, and BLAS adds none of its own. The kernel
+    that ``OPENBLAS_CORETYPE`` picks does change them."""
 
     @pytest.mark.parametrize("name", ["pretrained", "resized", "adapted", "finetuned"])
     def test_chain_checkpoint_bytes_equal_under_1_2_4_and_unset_threads(
@@ -818,6 +820,7 @@ docs = generate_synthetic(5, 12)
 cases = (  # (config, pre-training batch, fine-tuning batch)
     (ModelConfig(vocab_size=len(vocab)), 5, 7),
     (ModelConfig(vocab_size=len(vocab), max_positions=3), 3, 2),
+    (ModelConfig(vocab_size=len(vocab)), 19, 20),
 )
 path = Path(sys.argv[1]) / "out.ckpt"
 for workers in (1, 2, 3, 4):
@@ -837,22 +840,28 @@ for workers in (1, 2, 3, 4):
 # the same checkpoints written by the serial step, per OpenBLAS kernel
 _SERIAL_DIGESTS = {
     "SkylakeX": [
-        "74fb17b32541b089fe7cf8af21da4daafd2bcc57e35ff54c7e7f014752a8cba3",
-        "60019a452e8d36b2b3d3da755325c0731e3b5ba060791e983904279f8e655619",
-        "9d1465fc2fb5750f38b74b93603c326eca9ff2055c6cca451f12655f114959ab",
-        "bbe2e14ce19b2259cd1f8351dfc82319007076bf9641789b95ae26c87c862cb1",
+        "4967c62952d531d1237b3913ee64a5b1d0fc21ad88c3cafea739432f70c2ec1e",
+        "f41b8e53af5bedad78cb82f68f29a482dd626017cc0420e712577e71b302b51b",
+        "241ed38fd3331d1b2339a9f70f21588bf9f45e2dac2d6b317be0e02db9a57aea",
+        "33972c04c587c910d065a473c79f688b79849d85a4945f0556ccc31323abd3fd",
+        "3fa8ab5d5dd08db10ab14bae5e38bb7e6da754c6493e21cbcdceb10aa92026db",
+        "bb061e091a9b82a823f464661cbfa20cf3c624f7d3b3a8e480a4238da71e2793",
     ],
     "Haswell": [
-        "44a25e556eb772fb6879802aafda4c7729ddb337725d7c694e3b85f0d0c9f8fb",
-        "b9399ca972f9663fb3ca74fc64484600ccb6754b75235f4e34444e1a2e403221",
-        "260c66ae20a0db3a188e88de52f46bd2916afcc5542f93ed3f46c158690bf727",
-        "e1b081d6950c4ec43dbaa73e7e9776e79497ecbd4d783f3f0b1af07df1a6cdbd",
+        "011ac56308147b585704fcac3a13a88a02ee867b75103473b9103946882e0581",
+        "5eff81f6a84a988e58e7ff467aa578d5108eccccd096aefd24446a58a49714a9",
+        "95ce665e69db6bf7ffb38882387631225ccdda6de6881e3036582305bf947324",
+        "13cabb00205f9aff7ec63cb06da7045518d56b0f73463318e7e57d4c69c4f4e2",
+        "1c503f517eed9aabe271ea3a203d3adda675a24dd75f42523659a4f2f167e25c",
+        "8ae278ad22d3c79d28ede592271fe8eddc30a5a09a54546645b3ed1400c3b4ef",
     ],
     "Sandybridge": [
-        "f74d0bc99712dd2421d7a074b4a6e352232644d7a6790f871de02701c330ce1e",
-        "580b180eef9789be40bc5a61802b91bdfe9438530b2fdda55ee23bafcbc4c5d1",
+        "bd064ca5fc9d60f06585205156aff278884d9544ff16cbe10e65dd0aa95690f8",
+        "a648a7f6375e53a5ab0eb7f0a1c358f82c6723640548b8c49f0dbc9481a236ba",
         "d691a3dd67c80bf566f81bde9c0e82ed3369c720152c60cdcea863a467b86283",
         "89567bf152121eff44ae10311c17631592c56c5b3bddfb9efe3d8715cfefeca8",
+        "d748186ea5a33bbd2d1022be335963bcd2662e50e2297ad4266b2c51199438b7",
+        "7d424de5e533ffe9c396f447d949e1a2716d4fdd42593672a9f2c7689ca1932c",
     ],
 }
 
@@ -873,19 +882,21 @@ def _cpu_flags() -> set[str]:
 
 
 class TestShardedTraining:
-    """A training step's forward, and each layer's activation-gradient chain
-    in its backward, run as row shards on a thread pool, and each of their
-    products is one BLAS call per batch row; every sum over rows (the weight
-    and layer-norm gradients) runs whole, in the serial operands and order.
-    Checkpoints keep the serial bytes, whatever OpenBLAS kernel runs."""
+    """A training step cuts its batch into blocks by a rule of the batch
+    alone: its rows, sorted by length (longest first, ties in batch order),
+    in blocks of ``_BLOCK_ROWS``, each cut to its own longest row. The blocks
+    run on a thread pool, each a serial forward and backward into gradients
+    of its own, and the step adds them in block order. Checkpoints have the
+    serial step's bytes at any pool size, whatever OpenBLAS kernel runs."""
 
     @pytest.mark.parametrize("kernel", [None, "Haswell", "Sandybridge"],
                              ids=["native", "Haswell", "Sandybridge"])
     def test_checkpoints_equal_the_serial_bytes_at_pool_sizes_1_to_4(self, tmp_path, kernel):
-        # Batches of 5, 7, 3 and 2 rows: odd counts, batches smaller than the
-        # pool, 1-row shards; the second model's rows are [CLS] piece [SEP].
-        # BLAS runs one thread: the tied decoder's bytes still depend on
-        # that count.
+        # Batches of 5, 7, 3 and 2 rows run as one block, on one thread of
+        # the pool; the second model's rows are [CLS] piece [SEP]. Batches of
+        # 19 and 20 rows run as three blocks, the last of 3 or 4 rows. BLAS
+        # runs one thread: the tied decoder's bytes still depend on that
+        # count.
         if not _KERNEL_FLAGS[kernel] <= _cpu_flags():
             pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernel")
         proc = subprocess.run(
@@ -902,60 +913,59 @@ class TestShardedTraining:
         if name in _SERIAL_DIGESTS:
             assert digests[0] == _SERIAL_DIGESTS[name]
 
-    @pytest.mark.parametrize("dout, din", [(64, 64), (64, 256), (256, 64)])
-    def test_a_product_over_a_row_shard_gives_the_whole_rows(self, dout, din):
-        # Each batch row is its own 2-D product, so a slice of rows, however
-        # few positions it holds, has the bits of the whole batch's rows.
-        rng = np.random.default_rng(dout + din)
-        w = rng.normal(0.0, 0.02, (din, dout))
-        dy = rng.normal(size=(12, 3, dout))
-        whole = model_module._linear_dx(dy, w)
-        assert all(np.array_equal(whole[i], dy[i] @ w.T) for i in range(len(dy)))
-        out = np.empty_like(whole)
-        for lo, hi in [(0, 1), (1, 3), (5, 12), (11, 12), (0, 12)]:
-            part = model_module._linear_dx(dy[lo:hi], w, out[lo:hi])
-            assert np.array_equal(part, whole[lo:hi]), (lo, hi)
-
-    @pytest.mark.parametrize("rows, positions, cut", [
-        (2, 18, [slice(0, 1), slice(1, 2)]),  # 1-row shards of 18 positions
-        (2, 19, [slice(0, 1), slice(1, 2)]),
-        (3, 10, [slice(0, 1), slice(1, 3)]),
-        (4, 10, [slice(0, 2), slice(2, 4)]),
+    @pytest.mark.parametrize("lengths, blocks", [
+        ([18, 16], [(2, 18)]),  # fewer rows than a block
+        ([5, 9, 9, 3, 7, 9, 2, 4, 6, 8], [(8, 9), (2, 3)]),  # ties keep batch order
+        ([10] * 16, [(8, 10), (8, 10)]),
+        ([3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+         [(8, 19), (8, 11), (1, 3)]),
     ])
-    def test_the_backward_cuts_the_forwards_shards(
-        self, pool_size, monkeypatch, rows, positions, cut
+    def test_the_blocks_are_sorted_rows_cut_to_their_longest_row(
+        self, pool_size, monkeypatch, lengths, blocks
     ):
-        real_shards = model_module._row_shards
-        cuts = collections.defaultdict(list)
+        # The first real position of each row is the row's length, so a
+        # block's ids name its rows.
+        real_forward = model_module.forward_hidden
+        calls = collections.defaultdict(list)
 
-        def recording_shards(n):  # by calling function
-            cuts[sys._getframe(1).f_code.co_name].append(real_shards(n))
-            return cuts[sys._getframe(1).f_code.co_name][-1]
+        def recording_forward(params, config, ids, mask, **kwargs):
+            calls[threads].append(ids.copy())
+            return real_forward(params, config, ids, mask, **kwargs)
 
-        monkeypatch.setattr(model_module, "_row_shards", recording_shards)
+        monkeypatch.setattr(model_module, "forward_hidden", recording_forward)
         config = ModelConfig(vocab_size=2585)
-        rng = np.random.default_rng(rows * positions)
+        rows, positions = len(lengths), max(lengths) + 2
+        rng = np.random.default_rng(rows)
         ids = rng.integers(5, config.vocab_size, (rows, positions))
-        mask = np.ones((rows, positions))
-        mask[0, positions - 2 :] = 0.0
+        ids[:, 0] = lengths
+        mask = (np.arange(positions) < np.array(lengths)[:, None]).astype(np.float64)
         tags = np.where(mask > 0, rng.integers(0, config.n_tags, (rows, positions)), -1)
         grads = []
         for threads in (1, 2):
             pool_size(threads)
             grads.append(ner_loss_and_grads(init_params(config), config, ids, mask, tags)[2])
-        assert cuts["forward_hidden"][-1] == cuts["backward_hidden"][-1] == cut
+        order = sorted(range(rows), key=lambda r: -lengths[r])
+        expected = [ids[order[lo : lo + n], :length] for lo, (n, length) in
+                    zip(itertools.accumulate([0] + [n for n, _ in blocks]), blocks)]
+        def by_length(arrays):  # the order of a run's calls is the pool's
+            return sorted(arrays, key=lambda a: (-a.shape[1], a.tobytes()))
+
+        for threads in (1, 2):
+            got = by_length(calls[threads])
+            assert [a.shape for a in got] == blocks
+            assert all(np.array_equal(a, b) for a, b in zip(got, by_length(expected)))
         assert all(np.array_equal(grads[0][k], grads[1][k]) for k in grads[0])
 
     def test_the_order_of_a_runs_calls_changes_no_bit(self, pool_size, monkeypatch):
-        # A run's calls write disjoint arrays: a runner that takes them one
-        # after another in reverse order gives the pool's bits, whatever
-        # order a run lists them in.
+        # Each block writes gradients of its own: a runner that takes a
+        # run's calls one after another in reverse order gives the pool's
+        # bits, whatever order a run lists them in.
         config = ModelConfig(vocab_size=2585)
         rng = np.random.default_rng(11)
-        ids = rng.integers(5, config.vocab_size, (6, 30))
-        mask = (np.arange(30) < rng.integers(10, 31, (6, 1))).astype(np.float64)
-        tags = np.where(mask > 0, rng.integers(-1, config.n_tags, (6, 30)), -1)
-        pos_b, pos_s = np.nonzero((mask > 0) & (rng.random((6, 30)) < 0.15))
+        ids = rng.integers(5, config.vocab_size, (20, 30))
+        mask = (np.arange(30) < rng.integers(10, 31, (20, 1))).astype(np.float64)
+        tags = np.where(mask > 0, rng.integers(-1, config.n_tags, (20, 30)), -1)
+        pos_b, pos_s = np.nonzero((mask > 0) & (rng.random((20, 30)) < 0.15))
 
         def steps():
             params = init_params(config)
@@ -974,7 +984,7 @@ class TestShardedTraining:
                 results[i] = calls[i]()
             return results
 
-        pool_size(3)  # three shards of two rows in every run that cuts rows
+        pool_size(3)  # three blocks, of 8, 8 and 4 rows, in every step
         pooled_steps, pooled_params = steps()
         monkeypatch.setattr(model_module, "_run_all", reversed_run_all)
         serial_steps, serial_params = steps()
@@ -988,9 +998,9 @@ class TestShardedTraining:
         # every 10 us: a lost, doubled or twice-taken call would change the bits
         config = ModelConfig(vocab_size=2585)
         rng = np.random.default_rng(3)
-        ids = rng.integers(5, config.vocab_size, (7, 23))
-        mask = (np.arange(23) < rng.integers(3, 24, (7, 1))).astype(np.float64)
-        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (7, 23)), -1)
+        ids = rng.integers(5, config.vocab_size, (19, 23))  # blocks of 8, 8 and 3 rows
+        mask = (np.arange(23) < rng.integers(3, 24, (19, 1))).astype(np.float64)
+        tags = np.where(mask > 0, rng.integers(0, config.n_tags, (19, 23)), -1)
         trained = []
         for threads in (1, 4):
             pool_size(threads)

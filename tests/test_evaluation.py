@@ -313,10 +313,22 @@ class TestErrorTaxonomy:
             gold, pred = make(rng.randint(0, 5)), make(rng.randint(0, 5))
             gold_docs, pred_docs = docs_from(gold, pred)
             breakdown = categorize_errors(gold_docs, pred_docs)
-            lenient = score(gold_docs, pred_docs).lenient
-            total_lenient_fn = sum(lenient.per_label[l].fn for l in LABELS)
-            # a false positive's type_confusion row may name a matched gold span
-            matched = {g for g, _ in match_spans(gold, pred, "lenient").pairs}
-            named = [case.gold for case in breakdown.cases["missing"]] + list(
-                {case.gold for case in breakdown.cases["type_confusion"]} - matched)
-            assert len(named) == len(set(named)) == total_lenient_fn
+            exact = score(gold_docs, pred_docs).exact
+            total_exact_fn = sum(exact.per_label[l].fn for l in LABELS)
+            # a false positive's type_confusion row may name a gold span that
+            # was matched or has a row of its own
+            paired = [case.gold for case in breakdown.cases["boundary_mismatch"]]
+            unpaired = set(match_spans(gold, pred, "exact").unmatched_gold) - set(paired)
+            named = paired + [case.gold for case in breakdown.cases["missing"]] + list(
+                {case.gold for case in breakdown.cases["type_confusion"]} & unpaired)
+            assert len(named) == len(set(named)) == total_exact_fn
+
+    def test_an_exactly_predicted_span_has_no_row(self):
+        # gold (0,5) and (4,9) of one label, the prediction (4,9): one row,
+        # not a boundary_mismatch row and a missing row for (4,9)
+        gold_docs, pred_docs = docs_from([EntitySpan(0, 5, TS), EntitySpan(4, 9, TS)],
+                                         [EntitySpan(4, 9, TS)])
+        rows = format_error_table(categorize_errors(gold_docs, pred_docs)).splitlines()
+        assert rows[rows.index("category\tdoc_id\tgold\tpred") + 1:] == [
+            "missing\td0\t(0,5,TumorSize)\t-",
+        ]

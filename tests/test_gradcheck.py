@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -56,18 +54,18 @@ class TestGradCheck:
         assert a.max_rel_error == b.max_rel_error
 
 
-def test_one_row_shards_give_the_serial_gradients(monkeypatch):
-    # At pool size 2 the 2-row probe's forward and each layer's backward chain
-    # both run as two 1-row shards.
+def test_the_probe_spans_two_blocks_of_unequal_length(monkeypatch):
+    # The probe's batch runs as a full block and a block of shorter rows, the
+    # rule that training runs, and gives the same gradients at pool sizes 1
+    # and 2.
     from phenotag.encoder import model
 
-    real_shards = model._row_shards
-    cuts, grads = {}, {}
+    real_forward = model.forward_hidden
+    shapes, grads = {}, {}
 
-    def recording_shards(rows):  # by pool size and calling function
-        caller = sys._getframe(1).f_code.co_name
-        cuts.setdefault((workers, caller), []).append(real_shards(rows))
-        return cuts[(workers, caller)][-1]
+    def recording_forward(params, config, ids, mask, **kwargs):
+        shapes.setdefault(workers, set()).add(ids.shape)
+        return real_forward(params, config, ids, mask, **kwargs)
 
     def first_grads(name, real):
         def record(*args):
@@ -76,16 +74,14 @@ def test_one_row_shards_give_the_serial_gradients(monkeypatch):
             return loss, acc, g
         return record
 
-    monkeypatch.setattr(model, "_row_shards", recording_shards)
+    monkeypatch.setattr(model, "forward_hidden", recording_forward)
     for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
         monkeypatch.setattr(gradcheck_module, name,
                             first_grads(name, getattr(gradcheck_module, name)))
     for workers in (1, 2):
         monkeypatch.setattr(model, "_run_threads", lambda: workers)
         assert grad_check().max_rel_error <= 1e-4
-    assert set(cuts) == {(w, f) for w in (1, 2) for f in ("forward_hidden", "backward_hidden")}
-    for caller in ("forward_hidden", "backward_hidden"):
-        assert all(cut == [slice(0, 1), slice(1, 2)] for cut in cuts[(2, caller)])
+    assert shapes[1] == shapes[2] == {(model._BLOCK_ROWS, 10), (2, 6)}
     for name in ("mlm_loss_and_grads", "ner_loss_and_grads"):
-        serial, sharded = grads[(1, name)], grads[(2, name)]
-        assert all(np.array_equal(serial[k], sharded[k]) for k in serial)
+        serial, pooled = grads[(1, name)], grads[(2, name)]
+        assert all(np.array_equal(serial[k], pooled[k]) for k in serial)

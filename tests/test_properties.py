@@ -233,27 +233,36 @@ class TestScore:
         assert json.dumps(back.to_dict()) == json.dumps(report.to_dict())
 
 
+def error_pairs(gold, pred):
+    """The pairs behind the error rows: exact matches, then lenient matches
+    of the spans exact matching left."""
+    exact = match_spans(gold, pred, "exact")
+    return exact.pairs + match_spans(exact.unmatched_gold, exact.unmatched_pred,
+                                      "lenient").pairs
+
+
 def reference_categorize_errors(gold_docs, pred_docs):
-    """``categorize_errors`` before its scans were reordered and inlined: the
-    reference for the rows and their order."""
+    """``categorize_errors`` before its scans were reordered and inlined, on
+    the pairs it now takes (``error_pairs``): the reference for the rows and
+    their order."""
     out = ErrorBreakdown()
     for gold_doc, pred_doc in pair_documents(gold_docs, pred_docs):
         doc_id, gold, pred = gold_doc.doc_id, gold_doc.entities, pred_doc.entities
-        pairs = match_spans(gold, pred, "lenient").pairs
+        pairs = error_pairs(gold, pred)
         matched_gold = {id(g) for g, _ in pairs}
         matched_pred = {id(p) for _, p in pairs}
         for g, p in pairs:
             if (g.start_char, g.end_char) != (p.start_char, p.end_char):
                 out.cases["boundary_mismatch"].append(ErrorCase(doc_id, g, p))
         confusions = set()
-        for g in gold:
+        for g in sorted(gold):
             if id(g) in matched_gold:
                 continue
             confused = next((p for p in pred if p.overlaps(g) and p.label != g.label), None)
             category = "missing" if confused is None else "type_confusion"
             out.cases[category].append(ErrorCase(doc_id, g, confused))
             confusions.add((g, confused))
-        for p in pred:
+        for p in sorted(pred):
             if id(p) in matched_pred:
                 continue
             overlapped = [g for g in gold if g.overlaps(p)]
@@ -281,7 +290,7 @@ class TestErrorCategories:
     def test_each_unmatched_same_label_overlap_is_one_split_row(self, gold, pred):
         text = "x" * 40
         breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
-        matched = {id(p) for _, p in match_spans(gold, pred, "lenient").pairs}
+        matched = {id(p) for _, p in error_pairs(gold, pred)}
         fragments = [p for p in pred if id(p) not in matched
                      and any(g.label == p.label and g.overlaps(p) for g in gold)]
         split = breakdown.cases["split"]
@@ -303,10 +312,10 @@ class TestErrorCategories:
     @DETERMINISTIC
     @given(st.lists(spans, max_size=12, unique=True),
            st.lists(spans, max_size=12, unique=True))
-    def test_every_lenient_error_is_named(self, gold, pred):
+    def test_every_exact_error_is_named(self, gold, pred):
         text = "x" * 40
         breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
-        pairs = match_spans(gold, pred, "lenient").pairs
+        pairs = error_pairs(gold, pred)
         matched_gold, matched_pred = {g for g, _ in pairs}, {p for _, p in pairs}
         rows = [(name, case) for name, cases in breakdown.cases.items() for case in cases]
         for p in set(pred) - matched_pred:
@@ -320,6 +329,44 @@ class TestErrorCategories:
         for case in breakdown.cases["type_confusion"]:
             assert case.gold.overlaps(case.pred) and case.gold.label != case.pred.label
 
+    @settings(DETERMINISTIC, max_examples=300)
+    @given(st.lists(wide_spans, max_size=12, unique=True),
+           st.lists(wide_spans, max_size=12, unique=True))
+    def test_rows_add_up_to_the_exact_fp_and_fn_of_each_label(self, gold, pred):
+        # Each exact fn has one row and each exact fp has one row; a
+        # boundary_mismatch row, and a type_confusion row that both spans'
+        # rules name, stands for one of each.
+        text = "x" * 60
+        breakdown = categorize_errors([Document("d", text, gold)], [Document("d", text, pred)])
+        exact = match_spans(gold, pred, "exact")
+        paired = {span for case in breakdown.cases["boundary_mismatch"]
+                  for span in (case.gold, case.pred)}
+        fn_left = set(exact.unmatched_gold) - paired
+        fp_left = set(exact.unmatched_pred) - paired
+
+        def sides(name, case):
+            if name != "type_confusion":
+                return name in ("boundary_mismatch", "missing"), name != "missing"
+            g, p = case.gold, case.pred
+            first_confused = next(q for q in pred if q.overlaps(g) and q.label != g.label)
+            first_overlapped = next(h for h in gold if h.overlaps(p))
+            fn = g in fn_left and p == first_confused
+            fp = p in fp_left and g == first_overlapped and not any(
+                h.label == p.label and h.overlaps(p) for h in gold)
+            return fn, fp
+
+        fn, fp = {label: 0 for label in LABELS}, {label: 0 for label in LABELS}
+        for name, cases in breakdown.cases.items():
+            for case in cases:
+                is_fn, is_fp = sides(name, case)
+                if is_fn:
+                    fn[case.gold.label] += 1
+                if is_fp:
+                    fp[case.pred.label] += 1
+        counts = exact.counts
+        assert fn == {label: counts[label].fn for label in LABELS}
+        assert fp == {label: counts[label].fp for label in LABELS}
+
 
 PAD_CONFIG = ModelConfig(vocab_size=len(VOCAB), max_positions=24)
 
@@ -330,10 +377,10 @@ def pad_params():
 
 
 @st.composite
-def padded_batches(draw):
+def padded_batches(draw, max_rows=6):
     """(ids, the same ids with others at the pads, mask): rows of real
     positions followed by padding, at least one pad in the batch."""
-    rows, positions = draw(st.integers(1, 6)), draw(st.integers(3, 24))
+    rows, positions = draw(st.integers(1, max_rows)), draw(st.integers(3, 24))
     lengths = draw(st.lists(st.integers(1, positions), min_size=rows, max_size=rows))
     lengths[draw(st.integers(0, rows - 1))] = draw(st.integers(1, positions - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -396,6 +443,35 @@ class TestPadInvariance:
             assert all(np.array_equal(grads[k], grads2[k]) for k in grads)
         h = forward_hidden(params, PAD_CONFIG, ids, mask, read=tagged)[0]
         assert np.array_equal(h[tagged], forward_hidden(params, PAD_CONFIG, ids, mask)[0][tagged])
+
+
+class TestBlockedStep:
+    """A training step cuts its batch into blocks of sorted rows, each cut to
+    its own longest row, and adds their losses and gradients in block order:
+    the sums of one unblocked batch, up to rounding."""
+
+    @settings(DETERMINISTIC, max_examples=40)
+    @given(padded_batches(max_rows=3 * model_module._BLOCK_ROWS), st.integers(0, 2**32 - 1))
+    def test_blocked_loss_and_gradients_equal_one_unblocked_batch(self, batch, seed):
+        ids, _, mask = batch
+        params, real = pad_params(), mask > 0
+        rng = np.random.default_rng(seed)
+        tagged, masked = (real & (rng.random(real.shape) < share) for share in (0.6, 0.3))
+        tagged[0, 0] = masked[0, 0] = True
+        tags = np.where(tagged, ids % PAD_CONFIG.n_tags, IGNORE_ID)
+        pos_b, pos_s = np.nonzero(masked)
+        runs = []
+        for block_rows in (model_module._BLOCK_ROWS, len(ids)):  # the second: one block
+            with mock.patch.object(model_module, "_BLOCK_ROWS", block_rows):
+                runs.append((
+                    ner_loss_and_grads(params, PAD_CONFIG, ids, mask, tags),
+                    mlm_loss_and_grads(params, PAD_CONFIG, ids, mask, pos_b, pos_s, ids[masked]),
+                ))
+        for (loss, acc, grads), (loss2, acc2, grads2) in zip(*runs):
+            assert acc == acc2
+            assert abs(loss - loss2) <= 1e-12 * abs(loss2)
+            flat, flat2 = (model_module._flat_buffer(g) for g in (grads, grads2))
+            assert np.abs(flat - flat2).max() <= 1e-12 * np.abs(flat2).max()
 
 
 class TestSpanOrder:

@@ -124,7 +124,7 @@ def _reference_tsne(x, perplexity, iterations, seed):
         pq = (p_eff - q) * num
         grad = 4.0 * ((np.diag(pq.sum(1)) - pq) @ y)
         momentum = 0.5 if t <= m._MOMENTUM_SWITCH else 0.8
-        update = momentum * update - m._LEARNING_RATE * grad
+        update = momentum * update - x.shape[0] / m._EARLY_EXAGGERATION * grad
         y = y + update
         y = y - y.mean(0)
         q, _ = m._student_t_q(y)
