@@ -22,7 +22,9 @@ MODES = ("exact", "lenient")
 CATEGORIES = ("boundary_mismatch", "missing", "type_confusion", "spurious", "split")
 #: Level of the Student-t intervals that ``aggregate_runs`` reports.
 CONFIDENCE = 0.95
-# EntitySpan's own order as one C call per span, not Python-level comparisons
+# EntitySpan's own order as one C call per span, not Python-level comparisons;
+# the label is a str Enum, so it orders by its value (``.value`` is a slower
+# Python-level property)
 _SPAN_ORDER = attrgetter("start_char", "end_char", "label")
 
 
